@@ -41,8 +41,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	} {
 		fmt.Fprintf(w, "fdrepaird_requests_total{outcome=%q} %d\n", o.name, o.v)
 	}
-	for i := range s.m.byAlgo {
-		fmt.Fprintf(w, "fdrepaird_requests_total{algo=%q} %d\n", fdrepair.Algorithm(i).String(), s.m.byAlgo[i].Load())
+	for _, a := range fdrepair.Algorithms() {
+		fmt.Fprintf(w, "fdrepaird_requests_total{algo=%q} %d\n", a, s.m.byAlgo[a].Load())
 	}
 
 	fmt.Fprintln(w, "# HELP fdrepaird_ingest_rows_total Rows accepted by the streaming CSV ingester.")

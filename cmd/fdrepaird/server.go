@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/fdrepair"
-	"repro/internal/srepair"
 	"repro/internal/table"
 )
 
@@ -50,11 +49,11 @@ type counters struct {
 	ingestRows  atomic.Int64
 	ingestBytes atomic.Int64
 
-	// byAlgo counts admitted requests by their parsed algorithm
-	// (exported as fdrepaird_requests_total{algo=...}); a request that
-	// later fails or degrades still counts under the algorithm it asked
-	// for.
-	byAlgo [int(fdrepair.AlgoPriorityRepair) + 1]atomic.Int64
+	// byAlgo counts admitted requests by their parsed algorithm, one
+	// slot per fdrepair.Algorithms() entry (exported as
+	// fdrepaird_requests_total{algo=...}); a request that later fails
+	// or degrades still counts under the algorithm it asked for.
+	byAlgo []atomic.Int64
 }
 
 // server is the repair daemon: admission control and lifecycle around
@@ -72,9 +71,6 @@ func newServer(cfg config) *server {
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
 	}
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
 	if cfg.queueDepth < 1 {
 		cfg.queueDepth = 1
 	}
@@ -83,6 +79,7 @@ func newServer(cfg config) *server {
 		sv:     fdrepair.NewSolver(fdrepair.WithParallelism(cfg.workers), fdrepair.WithStats()),
 		sem:    make(chan struct{}, cfg.queueDepth),
 		quotas: newQuotas(cfg.tenantRate, cfg.tenantBurst),
+		m:      counters{byAlgo: make([]atomic.Int64, len(fdrepair.Algorithms()))},
 	}
 }
 
@@ -123,9 +120,10 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 //	<CSV table body>
 //
 // The body is the table (header row = attributes; optional id/w
-// columns). Repeatable fd params give the FD set; algo is one of
-// auto (default), optimal, exact, approx, urepair, mpd. The response
-// is the repaired table as CSV with X-Repair-* headers.
+// columns). algo names an fdrepair.Algorithm (default auto); the other
+// parameters (fd, cfd, dc, project, where, prefer) are the
+// fdrepair.ParseRequest vocabulary. The response is the repaired table
+// as CSV with X-Repair-* headers.
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Admission, cheapest gate first: drain state, then the tenant
 	// quota (token bucket), then a queue slot.
@@ -163,7 +161,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if algoName == "" {
 		algoName = "auto"
 	}
-	algo, err := parseAlgo(algoName)
+	algo, err := fdrepair.ParseAlgorithm(algoName)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -192,13 +190,10 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.ingestRows.Add(int64(tab.Len()))
 	s.m.ingestBytes.Add(cr.n.Load())
-	var ds *fdrepair.FDSet
-	if fdSpecs := q["fd"]; len(fdSpecs) > 0 {
-		ds, err = fdrepair.ParseFDs(tab.Schema(), fdSpecs...)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad fd: %v", err), http.StatusBadRequest)
-			return
-		}
+	req, err := fdrepair.ParseRequest(tab, algo, q)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 
 	// One request = one single-element batch on the shared Solver: its
@@ -206,108 +201,13 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// with every other in-flight request on the one scheduler.
 	// Request.Context is the connection's context, so a vanished client
 	// cancels its own solve and nothing else.
-	req := fdrepair.Request{FDs: ds, Table: tab, Algorithm: algo.algo, Context: r.Context()}
-	var cqaProject []string
-	switch algo.algo {
-	case fdrepair.AlgoCFDSRepair:
-		// algo=cfd repairs under cfd= constraints; fd= is not consulted.
-		specs := q["cfd"]
-		if len(specs) == 0 {
-			http.Error(w, "algo=cfd requires at least one cfd query parameter", http.StatusBadRequest)
-			return
-		}
-		for _, spec := range specs {
-			c, err := fdrepair.ParseConditionalFD(tab.Schema(), spec)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad cfd: %v", err), http.StatusBadRequest)
-				return
-			}
-			req.CFDs = append(req.CFDs, c)
-		}
-	case fdrepair.AlgoDenialSRepair:
-		// algo=denial repairs under dc= constraints, or under the fd=
-		// set translated to denial form when no dc= is given.
-		for _, spec := range q["dc"] {
-			c, err := fdrepair.ParseDenial(tab.Schema(), spec)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad dc: %v", err), http.StatusBadRequest)
-				return
-			}
-			req.Denial = append(req.Denial, c)
-		}
-		if len(req.Denial) == 0 && ds == nil {
-			http.Error(w, "algo=denial requires dc or fd query parameters", http.StatusBadRequest)
-			return
-		}
-	case fdrepair.AlgoCQA:
-		if ds == nil {
-			http.Error(w, "at least one fd query parameter is required", http.StatusBadRequest)
-			return
-		}
-		proj := q.Get("project")
-		if proj == "" {
-			http.Error(w, "algo=cqa requires a project query parameter (comma-separated attributes)", http.StatusBadRequest)
-			return
-		}
-		for _, a := range strings.Split(proj, ",") {
-			cqaProject = append(cqaProject, strings.TrimSpace(a))
-		}
-		var filters []fdrepair.CQAFilter
-		for _, cond := range q["where"] {
-			attr, val, ok := strings.Cut(cond, "=")
-			pos, known := tab.Schema().AttrIndex(strings.TrimSpace(attr))
-			if !ok || !known {
-				http.Error(w, fmt.Sprintf("bad where %q (want attr=value)", cond), http.StatusBadRequest)
-				return
-			}
-			filters = append(filters, fdrepair.CQAFilter{Attr: pos, Value: val})
-		}
-		query, err := fdrepair.NewCQAQuery(tab.Schema(), cqaProject, filters...)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad query: %v", err), http.StatusBadRequest)
-			return
-		}
-		req.Query = query
-	case fdrepair.AlgoPriorityRepair:
-		if ds == nil {
-			http.Error(w, "at least one fd query parameter is required", http.StatusBadRequest)
-			return
-		}
-		rel := fdrepair.NewPriority()
-		for _, p := range q["prefer"] {
-			a, b, ok := strings.Cut(p, ">")
-			ai, errA := strconv.Atoi(strings.TrimSpace(a))
-			bi, errB := strconv.Atoi(strings.TrimSpace(b))
-			if !ok || errA != nil || errB != nil {
-				http.Error(w, fmt.Sprintf("bad prefer %q (want id>id)", p), http.StatusBadRequest)
-				return
-			}
-			rel.Add(ai, bi)
-		}
-		req.Priority = rel
-	default:
-		if ds == nil {
-			http.Error(w, "at least one fd query parameter is required", http.StatusBadRequest)
-			return
-		}
-	}
-	s.m.byAlgo[int(algo.algo)].Add(1)
+	req.Context = r.Context()
+	s.m.byAlgo[algo].Add(1)
 	opts := []fdrepair.BatchOption{fdrepair.WithRequestTimeout(timeout)}
 	if s.cfg.approxFallback > 0 {
 		opts = append(opts, fdrepair.WithApproxFallback(s.cfg.approxFallback))
 	}
 	res := s.sv.SolveBatch([]fdrepair.Request{req}, opts...)[0]
-	ranAlgo := algo.algo
-
-	// algo=auto degrades a hard FD set to the 2-approximation instead
-	// of failing the request.
-	if algo.auto && errors.Is(res.Err, srepair.ErrNoSimplification) {
-		req.Algorithm = fdrepair.AlgoApproxSRepair
-		res = s.sv.SolveBatch([]fdrepair.Request{req}, opts...)[0]
-		res.Degraded = true
-		ranAlgo = fdrepair.AlgoApproxSRepair
-	}
-
 	if res.Err != nil {
 		s.writeSolveError(w, r, res.Err)
 		return
@@ -316,37 +216,43 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if res.Degraded {
 		s.m.degraded.Add(1)
 	}
+	// X-Repair-Algorithm names the algorithm that ran: auto ran
+	// Algorithm 1 or, degraded, the 2-approximation.
+	ranAlgo := algo
+	if algo == fdrepair.AlgoAuto {
+		ranAlgo = fdrepair.AlgoOptimalSRepair
+		if res.Degraded {
+			ranAlgo = fdrepair.AlgoApproxSRepair
+		}
+	}
+	h := w.Header()
+	h.Set("Content-Type", "text/csv")
+	h.Set("X-Repair-Algorithm", ranAlgo.String())
 	if res.CQA != nil {
 		// algo=cqa produces answer sets, not a repair: the body is the
-		// certain answers as CSV over the projected attributes, counts in
-		// the headers.
-		h := w.Header()
-		h.Set("Content-Type", "text/csv")
-		h.Set("X-Repair-Algorithm", ranAlgo.String())
+		// certain answers as CSV over the projected attributes (in schema
+		// order, as the answers list them), counts in the headers.
 		h.Set("X-Cqa-Certain", strconv.Itoa(len(res.CQA.Certain)))
 		h.Set("X-Cqa-Possible", strconv.Itoa(len(res.CQA.Possible)))
 		h.Set("X-Cqa-Repairs", strconv.Itoa(res.CQA.Repairs))
-		fmt.Fprintln(w, strings.Join(cqaProject, ","))
+		fmt.Fprintln(w, strings.Join(req.Query.Columns(), ","))
 		for _, tup := range res.CQA.Certain {
 			fmt.Fprintln(w, strings.Join(tup, ","))
 		}
 		return
 	}
-	out, cost := res.Table, res.Cost
-	h := w.Header()
+	// Table and Cost carry every algorithm's repair (for urepair the
+	// update and dist_upd).
 	if res.URepair != nil {
-		out, cost = res.URepair.Update, res.URepair.Cost
 		h.Set("X-Urepair-Exact", strconv.FormatBool(res.URepair.Exact))
 		h.Set("X-Urepair-Ratio", strconv.FormatFloat(res.URepair.RatioBound, 'g', -1, 64))
 		h.Set("X-Urepair-Method", res.URepair.Method)
 	}
-	h.Set("Content-Type", "text/csv")
-	h.Set("X-Repair-Algorithm", ranAlgo.String())
-	h.Set("X-Repair-Cost", strconv.FormatFloat(cost, 'g', -1, 64))
-	h.Set("X-Repair-Kept", strconv.Itoa(out.Len()))
+	h.Set("X-Repair-Cost", strconv.FormatFloat(res.Cost, 'g', -1, 64))
+	h.Set("X-Repair-Kept", strconv.Itoa(res.Table.Len()))
 	h.Set("X-Repair-Input-Rows", strconv.Itoa(tab.Len()))
 	h.Set("X-Repair-Degraded", strconv.FormatBool(res.Degraded))
-	if err := out.WriteCSV(w); err != nil {
+	if err := res.Table.WriteCSV(w); err != nil {
 		// Headers are gone; all we can do is log.
 		s.cfg.logf("fdrepaird: writing response: %v", err)
 	}
@@ -376,50 +282,12 @@ func (s *server) writeSolveError(w http.ResponseWriter, r *http.Request, err err
 		s.m.shedDraining.Add(1)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case errors.Is(err, srepair.ErrNoSimplification):
+	case errors.Is(err, fdrepair.ErrNoSimplification):
 		s.m.failed.Add(1)
 		http.Error(w, "FD set is APX-hard for exact S-repair; use algo=auto, approx or exact", http.StatusUnprocessableEntity)
 	default:
 		s.m.failed.Add(1)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// algoChoice is a parsed algo parameter; auto marks the
-// optimal-with-approx-degradation mode.
-type algoChoice struct {
-	algo fdrepair.Algorithm
-	auto bool
-}
-
-// supportedAlgos is the full algo= vocabulary, quoted back verbatim in
-// the 400 rejecting an unknown value.
-const supportedAlgos = "auto|optimal|exact|approx|urepair|mpd|cfd|denial|cqa|priority"
-
-func parseAlgo(name string) (algoChoice, error) {
-	switch name {
-	case "auto":
-		return algoChoice{fdrepair.AlgoOptimalSRepair, true}, nil
-	case "optimal", "optimal-srepair":
-		return algoChoice{algo: fdrepair.AlgoOptimalSRepair}, nil
-	case "exact", "exact-srepair":
-		return algoChoice{algo: fdrepair.AlgoExactSRepair}, nil
-	case "approx", "approx-srepair":
-		return algoChoice{algo: fdrepair.AlgoApproxSRepair}, nil
-	case "urepair", "optimal-urepair":
-		return algoChoice{algo: fdrepair.AlgoOptimalURepair}, nil
-	case "mpd", "most-probable":
-		return algoChoice{algo: fdrepair.AlgoMostProbable}, nil
-	case "cfd", "cfd-srepair":
-		return algoChoice{algo: fdrepair.AlgoCFDSRepair}, nil
-	case "denial", "denial-srepair":
-		return algoChoice{algo: fdrepair.AlgoDenialSRepair}, nil
-	case "cqa":
-		return algoChoice{algo: fdrepair.AlgoCQA}, nil
-	case "priority", "priority-repair":
-		return algoChoice{algo: fdrepair.AlgoPriorityRepair}, nil
-	default:
-		return algoChoice{}, fmt.Errorf("unknown algo %q (%s)", name, supportedAlgos)
 	}
 }
 

@@ -153,6 +153,85 @@ func TestSolveBadRequests(t *testing.T) {
 	}
 }
 
+// TestSolveCQAColumnsSchemaOrder: CQA answers list their values in
+// schema order, so the reply's header row names the columns in that
+// order whatever order project= lists them in; spaces around names are
+// trimmed.
+func TestSolveCQAColumnsSchemaOrder(t *testing.T) {
+	s := newServer(testConfig())
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	// Under A -> B, rows 1 and 2 conflict; (a2,z) is certain.
+	for _, project := range []string{"B,A", "A, B", "B , A"} {
+		q := url.Values{"fd": {"A -> B"}, "algo": {"cqa"}, "project": {project}}.Encode()
+		resp := postSolve(t, ts, q, "", conflicted)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("project=%q: status %d: %s", project, resp.StatusCode, body)
+		}
+		if want := "A,B\na2,z\n"; body != want {
+			t.Errorf("project=%q: body %q, want %q", project, body, want)
+		}
+	}
+}
+
+// TestSolveParamsParseUnderEveryAlgo: every parameter present must
+// parse, whether or not the algorithm reads it — a malformed fd under
+// algo=cfd is a 400, not silently ignored.
+func TestSolveParamsParseUnderEveryAlgo(t *testing.T) {
+	s := newServer(testConfig())
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	cfd := url.Values{"algo": {"cfd"}, "cfd": {"A -> B"}}
+	resp := postSolve(t, ts, cfd.Encode(), "", conflicted)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cfd: status %d: %s", resp.StatusCode, body)
+	}
+	cfd.Set("fd", "A -> Nope")
+	resp = postSolve(t, ts, cfd.Encode(), "", conflicted)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "bad fd") {
+		t.Fatalf("cfd with malformed fd: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestSolveAlgoNamesFromTable: algo= takes every table alias and
+// canonical name; an unknown one is a 400 listing the aliases; auto
+// requests count under their own {algo="auto"} series.
+func TestSolveAlgoNamesFromTable(t *testing.T) {
+	s := newServer(testConfig())
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	for _, algo := range []string{"optimal", "optimal-srepair", "approx-srepair", "auto"} {
+		q := url.Values{"fd": {"A -> B"}, "algo": {algo}}.Encode()
+		resp := postSolve(t, ts, q, "", conflicted)
+		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("algo=%s: status %d: %s", algo, resp.StatusCode, body)
+		}
+	}
+	resp := postSolve(t, ts, url.Values{"fd": {"A -> B"}, "algo": {"quantum"}}.Encode(), "", conflicted)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "optimal|exact|approx|urepair|mpd|cfd|denial|cqa|priority|auto") {
+		t.Fatalf("unknown algo: status %d: %s", resp.StatusCode, body)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := readAll(t, resp)
+	for _, want := range []string{
+		`fdrepaird_requests_total{algo="optimal-srepair"} 2`,
+		`fdrepaird_requests_total{algo="approx-srepair"} 1`,
+		`fdrepaird_requests_total{algo="auto"} 1`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+}
+
 func TestQueueShedding(t *testing.T) {
 	cfg := testConfig()
 	cfg.queueDepth = 1

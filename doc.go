@@ -85,9 +85,7 @@
 // path dispatches, U-repair planner decisions per component, arena
 // reuse). Nothing on the solve hot path reads package-level pool
 // state, so any number of Solvers with different settings run
-// concurrently. The deprecated fdrepair.SetParallelism shim merely
-// reconfigures the default Solver backing the package-level entry
-// points.
+// concurrently.
 //
 // # Request scopes and batching
 //

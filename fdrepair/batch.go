@@ -3,88 +3,16 @@ package fdrepair
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/cfd"
-	"repro/internal/cqa"
-	"repro/internal/denial"
-	"repro/internal/mpd"
-	"repro/internal/priority"
 	"repro/internal/solve"
-	"repro/internal/srepair"
-	"repro/internal/table"
-	"repro/internal/urepair"
 )
 
 // ErrStreamClosed is returned by Stream.Submit after Close: the stream
 // admits no further requests (results of already-submitted requests
 // still drain through Results).
 var ErrStreamClosed = errors.New("fdrepair: Submit on a closed Stream")
-
-// Algorithm selects the repair computation a batch Request runs.
-type Algorithm int
-
-const (
-	// AlgoOptimalSRepair is Solver.OptimalSRepair (Algorithm 1; fails
-	// with srepair.ErrNoSimplification on the hard side of the
-	// dichotomy). The zero value, so the default for a Request.
-	AlgoOptimalSRepair Algorithm = iota
-	// AlgoExactSRepair is Solver.ExactSRepair (exponential baseline).
-	AlgoExactSRepair
-	// AlgoApproxSRepair is Solver.ApproxSRepair (2-approximation).
-	AlgoApproxSRepair
-	// AlgoOptimalURepair is Solver.OptimalURepair; the update and its
-	// guarantees are returned in BatchResult.URepair.
-	AlgoOptimalURepair
-	// AlgoMostProbable is Solver.MostProbableDatabase; Cost carries the
-	// probability.
-	AlgoMostProbable
-	// AlgoCFDSRepair repairs under the request's conditional FDs
-	// (Request.CFDs) on the encoded engine: forced unary violators plus
-	// the polynomial 2-approximate conflict cover. The full
-	// forced-deletion accounting lands in BatchResult.CFD.
-	AlgoCFDSRepair
-	// AlgoDenialSRepair repairs under the request's binary denial
-	// constraints (Request.Denial; when empty, the request's FDs are
-	// translated via FDsAsDenial) with the polynomial 2-approximate
-	// cover on the encoded engine.
-	AlgoDenialSRepair
-	// AlgoCQA computes the certain/possible answers of Request.Query
-	// under the request's FDs on the encoded component-factorized
-	// engine; the answers land in BatchResult.CQA.
-	AlgoCQA
-	// AlgoPriorityRepair computes the completion-optimal repair under
-	// Request.Priority (nil = no preferences) on the encoded engine.
-	AlgoPriorityRepair
-)
-
-// String names the algorithm for reports and CLI summaries.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoOptimalSRepair:
-		return "optimal-srepair"
-	case AlgoExactSRepair:
-		return "exact-srepair"
-	case AlgoApproxSRepair:
-		return "approx-srepair"
-	case AlgoOptimalURepair:
-		return "optimal-urepair"
-	case AlgoMostProbable:
-		return "most-probable"
-	case AlgoCFDSRepair:
-		return "cfd-srepair"
-	case AlgoDenialSRepair:
-		return "denial-srepair"
-	case AlgoCQA:
-		return "cqa"
-	case AlgoPriorityRepair:
-		return "priority-repair"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
 
 // Request is one unit of batch/stream work: a table, the FD set to
 // repair it under, the algorithm to run, and an optional per-request
@@ -204,35 +132,31 @@ func (s *Solver) SolveBatch(reqs []Request, opts ...BatchOption) []BatchResult {
 		opt(&cfg)
 	}
 	out := make([]BatchResult, len(reqs))
-	if err := s.begin(); err != nil {
-		// A closed solver still owes one result per request.
-		for i := range out {
-			out[i] = BatchResult{Index: i, Err: err}
-		}
-		return out
-	}
-	defer s.end()
 	ran := make([]bool, len(reqs))
-	err := s.ctx.ForEachBlock(len(reqs),
-		func(i int) int {
-			// A malformed request still sizes as 0 so it reaches
-			// runRequest's nil-guard as a per-request error instead of
-			// panicking the whole batch here.
-			if reqs[i].Table == nil {
-				return 0
-			}
-			return reqs[i].Table.Len()
-		},
-		func(wc *solve.Ctx, i int) error {
-			out[i] = s.runRequest(wc, i, reqs[i], cfg)
-			ran[i] = true
-			// Per-request isolation: the request's error lives in its
-			// BatchResult, never in the batch-level join.
-			return nil
-		})
-	// The batch-level fan-out only fails when the solver's own base
-	// context is done; requests skipped by that drain still owe the
-	// caller an answer.
+	err := s.begin()
+	if err == nil {
+		defer s.end()
+		err = s.ctx.ForEachBlock(len(reqs),
+			func(i int) int {
+				// A malformed request still sizes as 0 so it reaches
+				// runRequest's input check as a per-request error instead
+				// of panicking the whole batch here.
+				if reqs[i].Table == nil {
+					return 0
+				}
+				return reqs[i].Table.Len()
+			},
+			func(wc *solve.Ctx, i int) error {
+				out[i] = s.runRequest(wc, i, reqs[i], cfg)
+				ran[i] = true
+				// Per-request isolation: the request's error lives in its
+				// BatchResult, never in the batch-level join.
+				return nil
+			})
+	}
+	// A closed solver, or a fan-out cut short because the solver's own
+	// base context is done, still owes the caller one result per
+	// request.
 	if err != nil {
 		for i := range out {
 			if !ran[i] {
@@ -243,65 +167,24 @@ func (s *Solver) SolveBatch(reqs []Request, opts ...BatchOption) []BatchResult {
 	return out
 }
 
-// validate checks that the request carries the inputs its algorithm
-// consumes, so a malformed request fails with a descriptive per-request
-// error instead of a recovered panic.
-func (r Request) validate(i int) error {
-	if r.Table == nil {
-		return fmt.Errorf("fdrepair: batch request %d: nil Table", i)
-	}
-	switch r.Algorithm {
-	case AlgoCFDSRepair:
-		if len(r.CFDs) == 0 {
-			return fmt.Errorf("fdrepair: batch request %d: no CFDs", i)
-		}
-	case AlgoDenialSRepair:
-		if len(r.Denial) == 0 && r.FDs == nil {
-			return fmt.Errorf("fdrepair: batch request %d: no denial constraints and nil FDs", i)
-		}
-	case AlgoCQA:
-		if r.FDs == nil || r.Query == nil {
-			return fmt.Errorf("fdrepair: batch request %d: nil FDs or Query", i)
-		}
-	default:
-		// The plain-FD algorithms and AlgoPriorityRepair (whose nil
-		// Priority means no preferences) all need an FD set.
-		if r.FDs == nil {
-			return fmt.Errorf("fdrepair: batch request %d: nil FDs or Table", i)
-		}
-	}
-	return nil
-}
-
 // runRequest executes one request under a fresh per-request solve
-// scope on wc's worker binding. A panic escaping the request body —
-// whether from a poisoned table, an algorithm bug, or an injected
-// failpoint — is recovered here (the scheduler additionally recovers
-// panics inside enqueued block tasks) and becomes this request's
-// *PanicError; it never unwinds into the scheduler, sibling requests,
-// or the daemon serving the batch.
+// scope on wc's worker binding, dispatching through the algorithm
+// table; SolveBatch, Stream and Solve all run requests here. A panic
+// escaping the request body — whether from a poisoned table, an
+// algorithm bug, or an injected failpoint — is recovered here (the
+// scheduler additionally recovers panics inside enqueued block tasks)
+// and becomes this request's *PanicError; it never unwinds into the
+// scheduler, sibling requests, or the daemon serving the batch.
 func (s *Solver) runRequest(wc *solve.Ctx, i int, r Request, cfg batchConfig) (res BatchResult) {
 	res = BatchResult{Index: i}
-	if err := r.validate(i); err != nil {
+	if err := r.check(); err != nil {
 		res.Err = err
 		return res
 	}
 	rctx := r.Context
 	if cfg.timeout > 0 {
-		base := rctx
-		if base == nil {
-			// Same fallback Scoped applies: a request without its own
-			// context derives its deadline from the solver's base.
-			base = wc.Base()
-		}
-		if base == nil {
-			base = context.Background()
-		}
 		var cancel context.CancelFunc
-		// context.WithTimeout keeps the parent's deadline when it is
-		// earlier, so Request.Context and WithRequestTimeout compose to
-		// the earliest deadline in either order.
-		rctx, cancel = context.WithTimeout(base, cfg.timeout)
+		rctx, cancel = withTimeout(wc, rctx, cfg.timeout)
 		defer cancel()
 	}
 	var st *solve.Stats
@@ -320,121 +203,28 @@ func (s *Solver) runRequest(wc *solve.Ctx, i int, r Request, cfg batchConfig) (r
 			s.stats.Merge(res.Stats)
 		}
 	}()
-	s.execute(wc.Scoped(rctx, st), rctx, st, i, r, cfg, &res)
+	c := wc.Scoped(rctx, st)
+	if r.Algorithm == AlgoExactSRepair && cfg.approxAfter > 0 {
+		res.Err = exactWithFallback(c, rctx, st, cfg.approxAfter, &r, &res)
+	} else {
+		res.Err = algorithms[r.Algorithm].run(c, &r, &res)
+	}
 	return res
 }
 
-// execute dispatches one request's algorithm under its scoped Ctx.
-// rctx is the request's effective cancellation source (nil = the
-// solver's base), needed to derive the exact-solve sub-budget for
-// WithApproxFallback.
-func (s *Solver) execute(c *solve.Ctx, rctx context.Context, st *solve.Stats, i int, r Request, cfg batchConfig, res *BatchResult) {
-	switch r.Algorithm {
-	case AlgoOptimalSRepair:
-		var rep *table.Table
-		rep, res.Err = srepair.OptSRepairCtx(c, r.FDs, r.Table)
-		if res.Err == nil {
-			res.Table, res.Cost = rep, table.DistSub(rep, r.Table)
-		}
-	case AlgoExactSRepair:
-		if cfg.approxAfter > 0 {
-			s.exactWithFallback(c, rctx, st, r, cfg, res)
-			return
-		}
-		var rep *table.Table
-		rep, res.Err = srepair.ExactCtx(c, r.FDs, r.Table)
-		if res.Err == nil {
-			res.Table, res.Cost = rep, table.DistSub(rep, r.Table)
-		}
-	case AlgoApproxSRepair:
-		var rep *table.Table
-		rep, res.Err = srepair.Approx2Ctx(c, r.FDs, r.Table)
-		if res.Err == nil {
-			res.Table, res.Cost = rep, table.DistSub(rep, r.Table)
-		}
-	case AlgoOptimalURepair:
-		var ur URepairResult
-		ur, res.Err = urepair.RepairCtx(c, r.FDs, r.Table)
-		if res.Err == nil {
-			res.URepair = &ur
-			res.Table, res.Cost = ur.Update, ur.Cost
-		}
-	case AlgoMostProbable:
-		var rep *table.Table
-		rep, res.Err = mpd.SolveCtx(c, r.FDs, r.Table)
-		if res.Err == nil {
-			res.Table, res.Cost = rep, mpd.Probability(r.Table, rep)
-		}
-	case AlgoCFDSRepair:
-		var cr cfd.Result
-		cr, res.Err = cfd.Approx2SRepairCtx(c, r.CFDs, r.Table)
-		if res.Err == nil {
-			res.Table, res.Cost, res.CFD = cr.Repair, cr.TotalCost, &cr
-		}
-	case AlgoDenialSRepair:
-		cs := r.Denial
-		if len(cs) == 0 {
-			cs, res.Err = denial.FromFDSet(r.FDs)
-			if res.Err != nil {
-				return
-			}
-		}
-		var rep *table.Table
-		rep, res.Err = denial.Approx2SRepairCtx(c, cs, r.Table)
-		if res.Err == nil {
-			res.Table, res.Cost = rep, table.DistSub(rep, r.Table)
-		}
-	case AlgoCQA:
-		res.CQA, res.Err = cqa.ConsistentAnswersCtx(c, r.FDs, r.Table, r.Query)
-	case AlgoPriorityRepair:
-		rel := r.Priority
-		if rel == nil {
-			rel = priority.NewRelation()
-		}
-		var rep *table.Table
-		rep, res.Err = priority.CRepairCtx(c, r.FDs, r.Table, rel)
-		if res.Err == nil {
-			res.Table, res.Cost = rep, table.DistSub(rep, r.Table)
-		}
-	default:
-		res.Err = fmt.Errorf("fdrepair: batch request %d: unknown algorithm %v", i, r.Algorithm)
+// withTimeout derives a deadline of d from the request's own context
+// rctx or, when it has none, from the solver's base context — the same
+// fallback Scoped applies. context.WithTimeout keeps the parent's
+// deadline when it is earlier, so the two compose to the earliest
+// deadline in either order.
+func withTimeout(c *solve.Ctx, rctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if rctx == nil {
+		rctx = c.Base()
 	}
-}
-
-// exactWithFallback runs an AlgoExactSRepair request under the
-// WithApproxFallback budget: the exact solve gets its own deadline of
-// cfg.approxAfter (clamped by the request's deadline, which stays in
-// force); if the budget — and only the budget — expires, the request
-// degrades to the 2-approximation under the request's remaining
-// deadline instead of failing.
-func (s *Solver) exactWithFallback(c *solve.Ctx, rctx context.Context, st *solve.Stats, r Request, cfg batchConfig, res *BatchResult) {
-	base := rctx
-	if base == nil {
-		base = c.Base()
+	if rctx == nil {
+		rctx = context.Background()
 	}
-	if base == nil {
-		base = context.Background()
-	}
-	sub, cancel := context.WithTimeout(base, cfg.approxAfter)
-	rep, err := srepair.ExactCtx(c.Scoped(sub, st), r.FDs, r.Table)
-	cancel()
-	if err == nil {
-		res.Table, res.Cost = rep, table.DistSub(rep, r.Table)
-		return
-	}
-	if !errors.Is(err, context.DeadlineExceeded) || (rctx != nil && rctx.Err() != nil) {
-		// A genuine failure, or the request's own deadline (not the
-		// exact budget) is what expired: no point degrading.
-		res.Err = err
-		return
-	}
-	rep, err = srepair.Approx2Ctx(c, r.FDs, r.Table)
-	if err != nil {
-		res.Err = err
-		return
-	}
-	res.Table, res.Cost = rep, table.DistSub(rep, r.Table)
-	res.Degraded = true
+	return context.WithTimeout(rctx, d)
 }
 
 // Stream is the queue form of SolveBatch for serving request traffic:

@@ -398,60 +398,3 @@ func TestStickyHintsRegression(t *testing.T) {
 			reusedBytes, freshBytes)
 	}
 }
-
-// TestSetParallelismShimConcurrentWithSolves is the race audit of the
-// deprecated default-context shim (fdrepair.SetParallelism; the old
-// srepair.SetWorkers shim was already removed): reconfiguring the
-// process default mid-solve must not corrupt a running solve. The swap
-// is an atomic pointer store and in-flight solves keep the context
-// they captured at entry, so this must be race-clean (run under
-// -race) and every result must stay byte-identical.
-func TestSetParallelismShimConcurrentWithSolves(t *testing.T) {
-	defer SetParallelism(1)
-	ds, tab := solverTestInstance(300)
-	want, wantCost, err := NewSolver().OptimalSRepair(ds, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var mutators sync.WaitGroup
-	mutators.Add(1)
-	go func() {
-		defer mutators.Done()
-		for n := 0; ; n++ {
-			select {
-			case <-stop:
-				return
-			default:
-				SetParallelism(n%4 + 1)
-			}
-		}
-	}()
-	var solvers sync.WaitGroup
-	errs := make([]error, 8)
-	for g := range errs {
-		solvers.Add(1)
-		go func() {
-			defer solvers.Done()
-			for iter := 0; iter < 5; iter++ {
-				got, cost, err := OptimalSRepair(ds, tab) // default-context entry point
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if cost != wantCost || got.Len() != want.Len() {
-					errs[g] = errors.New("default-context solve diverged under concurrent SetParallelism")
-					return
-				}
-			}
-		}()
-	}
-	solvers.Wait()
-	close(stop)
-	mutators.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("goroutine %d: %v", g, err)
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/cfd"
+	"repro/internal/fd"
 )
 
 // ConditionalFD is a conditional functional dependency (X → A, tp):
@@ -24,7 +25,7 @@ const CFDWildcard = cfd.Wildcard
 // "country areaCode -> city", an lhs pattern (one entry per lhs
 // attribute, constants or CFDWildcard) and an rhs pattern entry.
 func NewConditionalFD(sc *Schema, spec string, lhsPattern []string, rhsPattern string) (*ConditionalFD, error) {
-	f, err := parseSingleFD(sc, spec)
+	f, err := fd.Parse(sc, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -38,12 +39,12 @@ func CFDSatisfies(cs []*ConditionalFD, t *Table) bool { return cfd.Satisfies(cs,
 // violators are deleted outright, the remaining pairwise conflicts are
 // resolved by exact minimum-weight vertex cover (size-guarded).
 func ExactCFDSRepair(cs []*ConditionalFD, t *Table) (CFDResult, error) {
-	return cfd.ExactSRepair(cs, t)
+	return std.ExactCFDSRepair(cs, t)
 }
 
 // ApproxCFDSRepair is the polynomial 2-approximation under CFDs.
 func ApproxCFDSRepair(cs []*ConditionalFD, t *Table) (CFDResult, error) {
-	return cfd.Approx2SRepair(cs, t)
+	return std.ApproxCFDSRepair(cs, t)
 }
 
 // ParseConditionalFD parses a CFD from one textual spec: the embedded
@@ -56,7 +57,7 @@ func ApproxCFDSRepair(cs []*ConditionalFD, t *Table) (CFDResult, error) {
 // "|" part every entry is a wildcard, i.e. the plain FD.
 func ParseConditionalFD(sc *Schema, spec string) (*ConditionalFD, error) {
 	embSpec, patSpec, hasPat := strings.Cut(spec, "|")
-	f, err := parseSingleFD(sc, strings.TrimSpace(embSpec))
+	f, err := fd.Parse(sc, strings.TrimSpace(embSpec))
 	if err != nil {
 		return nil, err
 	}
@@ -92,9 +93,9 @@ func (s *Solver) ExactCFDSRepair(cs []*ConditionalFD, t *Table) (CFDResult, erro
 // engine: linear in rows and conflict edges instead of quadratic in
 // rows, with pattern groups fanned across the solver's workers.
 func (s *Solver) ApproxCFDSRepair(cs []*ConditionalFD, t *Table) (CFDResult, error) {
-	if err := s.begin(); err != nil {
-		return CFDResult{}, err
+	res := s.Solve(Request{CFDs: cs, Table: t, Algorithm: AlgoCFDSRepair})
+	if res.Err != nil {
+		return CFDResult{}, res.Err
 	}
-	defer s.end()
-	return cfd.Approx2SRepairCtx(s.ctx, cs, t)
+	return *res.CFD, nil
 }

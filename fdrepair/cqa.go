@@ -27,21 +27,19 @@ func NewCQAQuery(sc *Schema, project []string, filters ...CQAFilter) (*CQAQuery,
 // ConsistentAnswers computes the certain answers (true in every subset
 // repair) and possible answers (true in some subset repair) of the
 // query — the consistent-query-answering semantics of Arenas et al.
-// that motivates the paper. Enumeration-bounded; small instances only.
+// that motivates the paper. Repairs are enumerated per conflict
+// component, so the enumeration bound applies to each component, not
+// to the table.
 func ConsistentAnswers(ds *FDSet, t *Table, q *CQAQuery) (*CQAAnswers, error) {
-	return cqa.ConsistentAnswers(ds, t, q)
+	return std.ConsistentAnswers(ds, t, q)
 }
 
-// ConsistentAnswers is the Solver-scoped ConsistentAnswers on the
-// encoded engine: repairs are factorized over the conflict graph's
-// components (each enumerating as one scheduler task), so the
-// enumeration bound applies per component instead of per table —
-// tables far beyond the seed path's 64-tuple limit answer exactly as
-// long as every individual conflict component stays within it.
+// ConsistentAnswers is the Solver-scoped ConsistentAnswers: repairs
+// are factorized over the conflict graph's components, each
+// enumerating as one scheduler task, so tables of any size answer
+// exactly as long as every individual conflict component stays within
+// the enumeration bound.
 func (s *Solver) ConsistentAnswers(ds *FDSet, t *Table, q *CQAQuery) (*CQAAnswers, error) {
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.end()
-	return cqa.ConsistentAnswersCtx(s.ctx, ds, t, q)
+	res := s.Solve(Request{FDs: ds, Table: t, Query: q, Algorithm: AlgoCQA})
+	return res.CQA, res.Err
 }

@@ -29,21 +29,13 @@ func DenialSatisfies(cs []*DenialConstraint, t *Table) bool {
 // ExactDenialSRepair computes an optimal S-repair under binary denial
 // constraints (exponential baseline; APX-hard already for FDs).
 func ExactDenialSRepair(cs []*DenialConstraint, t *Table) (*Table, float64, error) {
-	s, err := denial.ExactSRepair(cs, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, DistSub(s, t), nil
+	return std.ExactDenialSRepair(cs, t)
 }
 
 // ApproxDenialSRepair computes a 2-optimal S-repair in polynomial time
 // (Proposition 3.3 carries over to binary denial constraints).
 func ApproxDenialSRepair(cs []*DenialConstraint, t *Table) (*Table, float64, error) {
-	s, err := denial.Approx2SRepair(cs, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, DistSub(s, t), nil
+	return std.ApproxDenialSRepair(cs, t)
 }
 
 // ExactDenialSRepair is the Solver-scoped ExactDenialSRepair: conflicts
@@ -66,13 +58,6 @@ func (sv *Solver) ExactDenialSRepair(cs []*DenialConstraint, t *Table) (*Table, 
 // encoded engine: values parse once per cell instead of once per
 // compared pair, and equality atoms prune the pair scan to join groups.
 func (sv *Solver) ApproxDenialSRepair(cs []*DenialConstraint, t *Table) (*Table, float64, error) {
-	if err := sv.begin(); err != nil {
-		return nil, 0, err
-	}
-	defer sv.end()
-	s, err := denial.Approx2SRepairCtx(sv.ctx, cs, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, DistSub(s, t), nil
+	res := sv.Solve(Request{Denial: cs, Table: t, Algorithm: AlgoDenialSRepair})
+	return res.Table, res.Cost, res.Err
 }

@@ -33,36 +33,44 @@
 // ExactCFDSRepair/ApproxCFDSRepair), binary denial constraints
 // (DenialConstraint, ExactDenialSRepair/ApproxDenialSRepair),
 // consistent query answering (CQAQuery, ConsistentAnswers) and
-// prioritized repairing (PriorityRelation, PrioritizedRepair) — exist
-// in two grades. The package-level functions are the seed
-// implementations: straightforward string-tuple code, quadratic pair
-// scans, clone-and-recheck admission, whole-table repair enumeration.
-// They remain in the tree as differential oracles.
-//
-// The same names as methods on a Solver run on the encoded core:
-// conflicts are found on the table's cached int32 projection codes
-// (values parse once per cell, not once per compared pair), independent
-// units — CFD pattern groups, denial join groups, conflict-graph
-// components — fan out across the solver's workers, and every call
-// honors the solver's cancellation, deadline, arenas and stats (the
-// cfd_patterns, denial_predicates, cqa_certain and priority_levels
-// counters). Results are byte-identical to the seed functions; the
-// differential suites pin this at workers 1, 2, 4 and 8.
+// prioritized repairing (PriorityRelation, PrioritizedRepair) — have
+// one production implementation each, the encoded core, whether called
+// as package-level functions (which run on a package-level serial
+// Solver) or as Solver methods. Conflicts are found on the table's
+// cached int32 projection codes (values parse once per cell, not once
+// per compared pair), independent units — CFD pattern groups, denial
+// join groups, conflict-graph components — fan out across the solver's
+// workers, and every call honors the solver's cancellation, deadline,
+// arenas and stats (the cfd_patterns, denial_predicates, cqa_certain
+// and priority_levels counters). The seed string-tuple engines stay in
+// internal/{cfd,denial,cqa,priority} only as differential oracles; the
+// differential suites pin the encoded engines byte-identical to them at
+// workers 1, 2, 4 and 8.
 //
 // Two of the classes change asymptotic reach rather than just constant
-// factors. Solver.ConsistentAnswers factorizes the repair count over
-// conflict components, so the 64-tuple enumeration bound applies per
-// component instead of per table — a table of any size answers exactly
-// as long as each individual component stays within the bound.
-// Solver.PrioritizedRepair admits rows with per-FD code maps local to
-// each conflict component instead of cloning the repair and re-checking
+// factors. ConsistentAnswers factorizes the repair count over conflict
+// components, so the 64-tuple enumeration bound applies per component
+// instead of per table — a table of any size answers exactly as long
+// as each individual component stays within the bound.
+// PrioritizedRepair admits rows with per-FD code maps local to each
+// conflict component instead of cloning the repair and re-checking
 // consistency per insertion.
 //
-// The classes are also first-class batch citizens: Request.CFDs,
-// Request.Denial, Request.Query and Request.Priority select them in
-// SolveBatch (Algorithm AlgoCFDSRepair, AlgoDenialSRepair, AlgoCQA,
-// AlgoPriorityRepair), the fdrepair CLI accepts -mode cfd|denial|cqa|
-// priority, and fdrepaird serves them as algo=cfd|denial|cqa|priority.
+// # One algorithm table
+//
+// Every Algorithm is one row of a table holding its canonical name
+// (String), its short alias, its input check and its run function.
+// SolveBatch, Stream, the Solver methods and the package-level
+// functions all dispatch through that table, and ParseAlgorithm and
+// ParseRequest read it to turn text into a checked Request — the same
+// vocabulary (fd, cfd, dc, project, where, prefer) the fdrepair CLI's
+// -mode and flags and fdrepaird's algo= and query parameters use. The
+// classes are first-class batch citizens: Request.CFDs, Request.Denial,
+// Request.Query and Request.Priority select them in SolveBatch
+// (AlgoCFDSRepair, AlgoDenialSRepair, AlgoCQA, AlgoPriorityRepair).
+// AlgoAuto is the dichotomy as a dispatch rule: Algorithm 1, or on
+// ErrNoSimplification the 2-approximation with BatchResult.Degraded
+// set.
 //
 // # Out-of-core ingestion and memory model
 //
@@ -107,12 +115,12 @@
 //	                SolveStats (fdrepaird_solve_*_total)
 //	POST /solve     body: the table as CSV (header row names the
 //	                attributes; optional id and w columns); query:
-//	                repeatable fd=<spec>, algo=auto|optimal|exact|
-//	                approx|urepair|mpd|cfd|denial|cqa|priority,
-//	                timeout=<duration>, plus the per-class parameters
-//	                cfd=, dc=, project=/where=, prefer=; response: the
-//	                repair as CSV with X-Repair-* headers (algo=cqa:
-//	                the certain answers with X-Cqa-* headers)
+//	                algo=<Algorithm alias or name> (default auto),
+//	                timeout=<duration>, plus the ParseRequest
+//	                parameters fd=, cfd=, dc=, project=/where=,
+//	                prefer=; response: the repair as CSV with
+//	                X-Repair-* headers (algo=cqa: the certain answers
+//	                with X-Cqa-* headers)
 //
 // Admission and quotas. A request passes three gates in order: the
 // drain flag (503 + Retry-After once shutdown has begun), the

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/fd"
-	"repro/internal/mpd"
 	"repro/internal/schema"
 	"repro/internal/solve"
 	"repro/internal/srepair"
@@ -86,77 +85,24 @@ func Classify(ds *FDSet) Classification {
 		out.Trace = append(out.Trace, st.Describe())
 	}
 	if !ok {
-		// Re-run the simplifications to reach the stuck set, classify it.
-		cur := ds
-		for {
-			st, more := cur.NextSimplification()
-			if !more {
-				break
-			}
-			cur = st.After
+		// Classify the set the simplification chain got stuck on.
+		stuck := ds
+		if len(steps) > 0 {
+			stuck = steps[len(steps)-1].After
 		}
-		if cl, err := cur.Canonical().ClassifyNonSimplifiable(); err == nil {
+		if cl, err := stuck.Canonical().ClassifyNonSimplifiable(); err == nil {
 			out.HardClass = fmt.Sprintf("%v (reduce from %s)", cl.Class, cl.Class.BaseSet())
 		}
 	}
-	out.URepairExact = urepairExact(ds)
+	out.URepairExact = urepair.ExactPlan(ds)
 	return out
 }
 
-// urepairExact mirrors the planner's case analysis without touching
-// data: consensus attributes are removable (Theorem 4.3), components
-// are independent (Theorem 4.1), and a component is exact when it is a
-// key swap (Proposition 4.9) or has a common lhs and passes
-// OSRSucceeds (Corollary 4.6).
-func urepairExact(ds *FDSet) bool {
-	rest := ds.Minus(ds.ConsensusAttrs())
-	for _, comp := range rest.Components() {
-		if comp.IsTrivialSet() {
-			continue
-		}
-		can := comp.Canonical()
-		isSwap := func() bool {
-			if can.Len() != 2 {
-				return false
-			}
-			f1, f2 := can.FDs()[0], can.FDs()[1]
-			return f1.LHS.Len() == 1 && f2.LHS.Len() == 1 &&
-				f1.LHS == f2.RHS && f2.LHS == f1.RHS && f1.LHS != f2.LHS
-		}
-		if isSwap() {
-			continue
-		}
-		if !comp.CommonLHS().IsEmpty() && srepair.OSRSucceeds(comp) {
-			continue
-		}
-		return false
-	}
-	return true
-}
-
-// SetParallelism configures the worker budget of the default solver —
-// the per-process Solver backing the package-level entry points
-// (OptimalSRepair, OptimalURepair, MostProbableDatabase, ...). n ≤ 1
-// restores the serial default. Results are identical to the serial
-// algorithm.
-//
-// Calling SetParallelism concurrently with in-flight default-context
-// solves is safe: the default context is swapped atomically and a
-// running solve keeps the context (budget, scheduler, arenas) it
-// captured at entry, so it completes unchanged — only solves started
-// after the call see the new budget. Pinned by a -race regression test
-// (TestSetParallelismShimConcurrentWithSolves).
-//
-// Deprecated: construct a Solver with WithParallelism instead — each
-// Solver owns its worker budget, scratch arenas, deadline and stats,
-// so independent solves no longer share process-wide state. This shim
-// only reconfigures the default solver.
-func SetParallelism(n int) { solve.SetDefaultWorkers(n) }
-
-// Parallelism returns the default solver's worker budget (1 = serial).
-//
-// Deprecated: ask the Solver you configured (Solver.Parallelism).
-func Parallelism() int { return solve.Default().Workers() }
+// std is the package-level Solver behind the package-level functions:
+// serial, never closed, and running on solve.Default, the same
+// immutable context the internal ctx-less wrappers use, so the process
+// has one serial default.
+var std = &Solver{ctx: solve.Default()}
 
 // ErrNoSimplification is returned by the polynomial S-repair entry
 // points (OptimalSRepair, Session.Repair) when the FD set cannot be
@@ -169,41 +115,21 @@ var ErrNoSimplification = srepair.ErrNoSimplification
 // polynomial algorithm (Algorithm 1). It fails with an error wrapping
 // ErrNoSimplification when the FD set is on the hard side of the
 // dichotomy; use ExactSRepair or ApproxSRepair then.
-func OptimalSRepair(ds *FDSet, t *Table) (*Table, float64, error) {
-	s, err := srepair.OptSRepair(ds, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, table.DistSub(s, t), nil
-}
+func OptimalSRepair(ds *FDSet, t *Table) (*Table, float64, error) { return std.OptimalSRepair(ds, t) }
 
 // ExactSRepair computes an optimal S-repair for any FD set via exact
 // minimum-weight vertex cover on the conflict graph. Exponential in the
 // worst case and size-limited; intended for baselines and validation.
-func ExactSRepair(ds *FDSet, t *Table) (*Table, float64, error) {
-	s, err := srepair.Exact(ds, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, table.DistSub(s, t), nil
-}
+func ExactSRepair(ds *FDSet, t *Table) (*Table, float64, error) { return std.ExactSRepair(ds, t) }
 
 // ApproxSRepair computes a 2-optimal S-repair in polynomial time for
 // any FD set (Proposition 3.3).
-func ApproxSRepair(ds *FDSet, t *Table) (*Table, float64, error) {
-	s, err := srepair.Approx2(ds, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, table.DistSub(s, t), nil
-}
+func ApproxSRepair(ds *FDSet, t *Table) (*Table, float64, error) { return std.ApproxSRepair(ds, t) }
 
 // OptimalURepair runs the Section-4 planner: exact on the paper's
 // tractable cases, combined approximation otherwise. Inspect
 // Result.Exact and Result.RatioBound.
-func OptimalURepair(ds *FDSet, t *Table) (URepairResult, error) {
-	return urepair.Repair(ds, t)
-}
+func OptimalURepair(ds *FDSet, t *Table) (URepairResult, error) { return std.OptimalURepair(ds, t) }
 
 // ExactURepair computes an optimal U-repair by exhaustive search on
 // tiny instances (validation only).
@@ -215,11 +141,7 @@ func ExactURepair(ds *FDSet, t *Table) (*Table, float64, error) {
 // as independent probabilities in (0,1], and the most probable
 // consistent subset is returned with its probability.
 func MostProbableDatabase(ds *FDSet, t *Table) (*Table, float64, error) {
-	s, err := mpd.Solve(ds, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, mpd.Probability(t, s), nil
+	return std.MostProbableDatabase(ds, t)
 }
 
 // ExplainTrace renders a Classification's simplification chain like
@@ -236,9 +158,4 @@ func ExplainTrace(c Classification) string {
 		return s + " ⇛ {}"
 	}
 	return s + " ⇛ STUCK"
-}
-
-// parseSingleFD parses one FD spec (helper shared by the CFD facade).
-func parseSingleFD(sc *Schema, spec string) (FD, error) {
-	return fd.Parse(sc, spec)
 }

@@ -18,23 +18,16 @@ func NewPriority() *PriorityRelation { return priority.NewRelation() }
 // greedily along a topological completion of the priorities. Runs in
 // polynomial time.
 func PrioritizedRepair(ds *FDSet, t *Table, r *PriorityRelation) (*Table, error) {
-	return priority.CRepair(ds, t, r)
+	return std.PrioritizedRepair(ds, t, r)
 }
 
-// PrioritizedRepair is the Solver-scoped PrioritizedRepair on the
-// encoded engine: admission runs on cached projection codes instead of
-// a table clone and consistency re-check per insertion, and conflict
-// strata are processed as independent tasks across the solver's
-// workers. The result is byte-identical to the package-level function.
+// PrioritizedRepair is the Solver-scoped PrioritizedRepair: admission
+// runs on cached projection codes, and conflict strata are processed
+// as independent tasks across the solver's workers. A nil relation
+// means no preferences.
 func (s *Solver) PrioritizedRepair(ds *FDSet, t *Table, r *PriorityRelation) (*Table, error) {
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.end()
-	if r == nil {
-		r = priority.NewRelation()
-	}
-	return priority.CRepairCtx(s.ctx, ds, t, r)
+	res := s.Solve(Request{FDs: ds, Table: t, Priority: r, Algorithm: AlgoPriorityRepair})
+	return res.Table, res.Err
 }
 
 // PrioritizedOptimal enumerates all subset repairs and classifies them

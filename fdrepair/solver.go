@@ -6,11 +6,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/mpd"
 	"repro/internal/solve"
-	"repro/internal/srepair"
-	"repro/internal/table"
-	"repro/internal/urepair"
 )
 
 // ErrSolverClosed is returned by every solve entry point (and by
@@ -197,70 +193,57 @@ func (s *Solver) Stats() SolveStats { return s.stats.Snapshot() }
 // ResetStats zeroes the solver's counters.
 func (s *Solver) ResetStats() { s.stats.Reset() }
 
+// Solve runs one request on the calling goroutine through the
+// per-request runner SolveBatch uses — input check, scope, stats and
+// panic isolation — but not through the batch fan-out, so it counts no
+// extra inline block. The Solver methods and the package-level
+// functions are Solve calls on a fixed Algorithm.
+func (s *Solver) Solve(r Request) BatchResult {
+	if err := s.begin(); err != nil {
+		return BatchResult{Err: err}
+	}
+	defer s.end()
+	return s.runRequest(s.ctx, 0, r, batchConfig{})
+}
+
+// fdRepair runs an FD-set algorithm that yields a table and its cost.
+func (s *Solver) fdRepair(algo Algorithm, ds *FDSet, t *Table) (*Table, float64, error) {
+	res := s.Solve(Request{FDs: ds, Table: t, Algorithm: algo})
+	return res.Table, res.Cost, res.Err
+}
+
 // OptimalSRepair is the Solver-scoped fdrepair.OptimalSRepair: the
 // paper's polynomial Algorithm 1 under this solver's budget, arenas,
 // cancellation and stats.
 func (s *Solver) OptimalSRepair(ds *FDSet, t *Table) (*Table, float64, error) {
-	if err := s.begin(); err != nil {
-		return nil, 0, err
-	}
-	defer s.end()
-	rep, err := srepair.OptSRepairCtx(s.ctx, ds, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep, table.DistSub(rep, t), nil
+	return s.fdRepair(AlgoOptimalSRepair, ds, t)
 }
 
 // ExactSRepair is the Solver-scoped fdrepair.ExactSRepair; the
 // branch-and-bound cover search honors the solver's deadline, which
 // bounds its exponential worst case.
 func (s *Solver) ExactSRepair(ds *FDSet, t *Table) (*Table, float64, error) {
-	if err := s.begin(); err != nil {
-		return nil, 0, err
-	}
-	defer s.end()
-	rep, err := srepair.ExactCtx(s.ctx, ds, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep, table.DistSub(rep, t), nil
+	return s.fdRepair(AlgoExactSRepair, ds, t)
 }
 
 // ApproxSRepair is the Solver-scoped fdrepair.ApproxSRepair.
 func (s *Solver) ApproxSRepair(ds *FDSet, t *Table) (*Table, float64, error) {
-	if err := s.begin(); err != nil {
-		return nil, 0, err
-	}
-	defer s.end()
-	rep, err := srepair.Approx2Ctx(s.ctx, ds, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep, table.DistSub(rep, t), nil
+	return s.fdRepair(AlgoApproxSRepair, ds, t)
 }
 
 // OptimalURepair is the Solver-scoped fdrepair.OptimalURepair: the
 // Section-4 planner's inner S-repair solves inherit the solver's
 // budget and arenas.
 func (s *Solver) OptimalURepair(ds *FDSet, t *Table) (URepairResult, error) {
-	if err := s.begin(); err != nil {
-		return URepairResult{}, err
+	res := s.Solve(Request{FDs: ds, Table: t, Algorithm: AlgoOptimalURepair})
+	if res.Err != nil {
+		return URepairResult{}, res.Err
 	}
-	defer s.end()
-	return urepair.RepairCtx(s.ctx, ds, t)
+	return *res.URepair, nil
 }
 
 // MostProbableDatabase is the Solver-scoped
 // fdrepair.MostProbableDatabase.
 func (s *Solver) MostProbableDatabase(ds *FDSet, t *Table) (*Table, float64, error) {
-	if err := s.begin(); err != nil {
-		return nil, 0, err
-	}
-	defer s.end()
-	rep, err := mpd.SolveCtx(s.ctx, ds, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep, mpd.Probability(t, rep), nil
+	return s.fdRepair(AlgoMostProbable, ds, t)
 }

@@ -14,12 +14,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 
 	"repro/fdrepair"
 	"repro/internal/fd"
-	"repro/internal/srepair"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -41,16 +40,12 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	switch args[0] {
 	case "classify":
 		err = cmdClassify(args[1:], stdout, stderr)
-	case "srepair":
-		err = cmdSRepair(args[1:], stdout, stderr)
+	case "srepair", "urepair", "mpd":
+		err = cmdRepair(args[0], repairCmds[args[0]], args[1:], stdout, stderr)
 	case "verify":
 		err = cmdVerify(args[1:], stdout, stderr)
 	case "batch":
 		err = cmdBatch(args[1:], stdout, stderr)
-	case "urepair":
-		err = cmdURepair(args[1:], stdout, stderr)
-	case "mpd":
-		err = cmdMPD(args[1:], stdout, stderr)
 	case "count":
 		err = cmdCount(args[1:], stdout, stderr)
 	case "gen":
@@ -72,14 +67,74 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// repairCmd is a one-file repair subcommand: its -mode takes algos
+// (the first is the default; a single algorithm means no -mode flag),
+// diff says whether it takes -diff, and summary prints its result line.
+type repairCmd struct {
+	algos   []fdrepair.Algorithm
+	inUsage string
+	diff    bool
+	summary func(w io.Writer, res fdrepair.BatchResult, in *fdrepair.Table)
+}
+
+var repairCmds = map[string]repairCmd{
+	"srepair": {
+		algos:   []fdrepair.Algorithm{fdrepair.AlgoAuto, fdrepair.AlgoOptimalSRepair, fdrepair.AlgoExactSRepair, fdrepair.AlgoApproxSRepair},
+		inUsage: "input CSV",
+		diff:    true,
+		summary: func(w io.Writer, res fdrepair.BatchResult, in *fdrepair.Table) {
+			if res.Degraded {
+				fmt.Fprintln(w, apxNote)
+			}
+			fmt.Fprintf(w, "deleted weight (dist_sub): %g; kept %d of %d tuples\n", res.Cost, res.Table.Len(), in.Len())
+		},
+	},
+	"urepair": {
+		algos:   []fdrepair.Algorithm{fdrepair.AlgoOptimalURepair},
+		inUsage: "input CSV",
+		diff:    true,
+		summary: func(w io.Writer, res fdrepair.BatchResult, _ *fdrepair.Table) {
+			fmt.Fprintf(w, "updated-cell cost (dist_upd): %g; %s; method: %s\n", res.Cost, urepairStatus(res.URepair), res.URepair.Method)
+		},
+	},
+	"mpd": {
+		algos:   []fdrepair.Algorithm{fdrepair.AlgoMostProbable},
+		inUsage: "input CSV (weights are probabilities in (0,1])",
+		summary: func(w io.Writer, res fdrepair.BatchResult, in *fdrepair.Table) {
+			fmt.Fprintf(w, "most probable database: %d of %d tuples, probability %.6g\n", res.Table.Len(), in.Len(), res.Cost)
+		},
+	},
+}
+
+// urepairStatus renders an update repair's guarantee.
+func urepairStatus(u *fdrepair.URepairResult) string {
+	if u.Exact {
+		return "optimal"
+	}
+	return fmt.Sprintf("approximate (ratio ≤ %g)", u.RatioBound)
+}
+
+// modes renders algorithms as the -mode vocabulary, e.g. "auto|exact".
+func modes(algos []fdrepair.Algorithm) string {
+	names := make([]string, len(algos))
+	for i, a := range algos {
+		names[i] = a.Alias()
+	}
+	return strings.Join(names, "|")
+}
+
+// apxNote is printed when auto mode meets an FD set on the hard side of
+// the dichotomy and degrades to the 2-approximation.
+const apxNote = "note: FD set is APX-hard; using the 2-approximation (pass -mode exact for the exponential baseline)"
+
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: fdrepair <classify|srepair|verify|batch|urepair|mpd|count|gen|entails|demo> [flags]
+	fmt.Fprintf(w, `usage: fdrepair <classify|srepair|verify|batch|urepair|mpd|count|gen|entails|demo> [flags]
   classify -attrs A,B,C -fd "A -> B" [-fd ...]     explain the dichotomy for an FD set
-  srepair  -in t.csv -fd "A -> B" [-mode auto|exact|approx] [-out s.csv]
+  srepair  -in t.csv -fd "A -> B" [-mode %s] [-out s.csv]
   verify   -in t.csv -fd "A -> B" [-out s.csv]     impact report of an optimal S-repair:
            violations per FD and cells changed per block, before vs after
   batch    -in a.csv -in b.csv ... -fd "A -> B"
-           [-mode auto|exact|approx|urepair|mpd|cfd|denial|cqa|priority]
+           [-mode %s]
            [-outdir DIR] [-workers N] [-timeout 30s]   repair many CSVs as one batch
            constraint-extension modes: -mode cfd -cfd "X -> A | p,_ -> _";
            -mode denial -dc "t1.a < t2.a & ...";  -mode cqa -project A,B
@@ -95,7 +150,8 @@ srepair/urepair/mpd solver flags: -workers N (parallel blocks),
 -timeout 30s (abort the solve on a deadline), -stats (print solve
 counters to stderr). In batch mode the worker budget is shared by the
 whole batch and -timeout is a per-request deadline: one slow file
-times out alone while the rest of the batch completes.`)
+times out alone while the rest of the batch completes.
+`, modes(repairCmds["srepair"].algos), modes(fdrepair.Algorithms()))
 }
 
 func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
@@ -155,6 +211,26 @@ func loadTable(path string) (*fdrepair.Table, error) {
 	}
 	defer f.Close()
 	return table.IngestCSV(f, "T")
+}
+
+// inputFlags registers the -in and -fd flags of a one-file command and
+// returns their loader: the table streamed from -in and the FD set
+// parsed against its header.
+func inputFlags(fs *flag.FlagSet, inUsage string) func() (*fdrepair.Table, *fdrepair.FDSet, error) {
+	in := fs.String("in", "", inUsage)
+	var specs fdFlags
+	fs.Var(&specs, "fd", "functional dependency (repeatable)")
+	return func() (*fdrepair.Table, *fdrepair.FDSet, error) {
+		if *in == "" {
+			return nil, nil, errors.New("-in is required")
+		}
+		t, err := loadTable(*in)
+		if err != nil {
+			return nil, nil, err
+		}
+		ds, err := parseFDs(t.Schema(), specs)
+		return t, ds, err
+	}
 }
 
 func parseFDs(sc *fdrepair.Schema, specs fdFlags) (*fdrepair.FDSet, error) {
@@ -225,56 +301,48 @@ func cmdClassify(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func cmdSRepair(args []string, stdout, stderr io.Writer) error {
-	fs := newFlagSet("srepair", stderr)
-	in := fs.String("in", "", "input CSV")
+// cmdRepair runs one algorithm over one CSV file through the algorithm
+// table: srepair (the S-repair algorithms, chosen by -mode), urepair
+// and mpd.
+func cmdRepair(name string, rc repairCmd, args []string, stdout, stderr io.Writer) error {
+	fs := newFlagSet(name, stderr)
+	load := inputFlags(fs, rc.inUsage)
 	out := fs.String("out", "", "output CSV (default: print)")
-	mode := fs.String("mode", "auto", "auto | exact | approx")
-	diff := fs.Bool("diff", false, "print a change summary instead of the table")
+	mode := rc.algos[0].Alias()
+	if len(rc.algos) > 1 {
+		fs.StringVar(&mode, "mode", mode, modes(rc.algos))
+	}
+	diff := false
+	if rc.diff {
+		fs.BoolVar(&diff, "diff", false, "print a change summary instead of the table")
+	}
 	newSolver := solverFlags(fs)
-	var specs fdFlags
-	fs.Var(&specs, "fd", "functional dependency (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return errors.New("-in is required")
-	}
-	t, err := loadTable(*in)
+	algo, err := fdrepair.ParseAlgorithm(mode)
 	if err != nil {
 		return err
 	}
-	ds, err := parseFDs(t.Schema(), specs)
+	if !slices.Contains(rc.algos, algo) {
+		return fmt.Errorf("%s -mode takes %s, not %s", name, modes(rc.algos), mode)
+	}
+	t, ds, err := load()
 	if err != nil {
 		return err
 	}
 	sv, cancel, report := newSolver(stderr)
 	defer cancel()
-	var rep *fdrepair.Table
-	var cost float64
-	switch *mode {
-	case "auto":
-		rep, cost, err = sv.OptimalSRepair(ds, t)
-		if errors.Is(err, srepair.ErrNoSimplification) {
-			fmt.Fprintln(stderr, "note: FD set is APX-hard; using the 2-approximation (pass -mode exact for the exponential baseline)")
-			rep, cost, err = sv.ApproxSRepair(ds, t)
-		}
-	case "exact":
-		rep, cost, err = sv.ExactSRepair(ds, t)
-	case "approx":
-		rep, cost, err = sv.ApproxSRepair(ds, t)
-	default:
-		return fmt.Errorf("unknown -mode %q", *mode)
+	res := sv.Solve(fdrepair.Request{FDs: ds, Table: t, Algorithm: algo})
+	if res.Err != nil {
+		return res.Err
 	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "deleted weight (dist_sub): %g; kept %d of %d tuples\n", cost, rep.Len(), t.Len())
+	rc.summary(stderr, res, t)
 	report()
-	if *diff {
-		return writeDiff(t, rep, stdout)
+	if diff {
+		return writeDiff(t, res.Table, stdout)
 	}
-	return writeOut(rep, *out, stdout)
+	return writeOut(res.Table, *out, stdout)
 }
 
 // cmdVerify runs an optimal S-repair through a resident session with
@@ -283,22 +351,13 @@ func cmdSRepair(args []string, stdout, stderr io.Writer) error {
 // changed per block.
 func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("verify", stderr)
-	in := fs.String("in", "", "input CSV")
+	load := inputFlags(fs, "input CSV")
 	out := fs.String("out", "", "also write the repaired table to this CSV")
 	newSolver := solverFlags(fs)
-	var specs fdFlags
-	fs.Var(&specs, "fd", "functional dependency (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return errors.New("-in is required")
-	}
-	t, err := loadTable(*in)
-	if err != nil {
-		return err
-	}
-	ds, err := parseFDs(t.Schema(), specs)
+	t, ds, err := load()
 	if err != nil {
 		return err
 	}
@@ -359,7 +418,7 @@ func cmdBatch(args []string, stdout, stderr io.Writer) error {
 	var ins fdFlags
 	fs.Var(&ins, "in", "input CSV (repeatable; one request per file)")
 	outdir := fs.String("outdir", "", "write each repaired table to this directory under its input's base name (default: print)")
-	mode := fs.String("mode", "auto", "auto | exact | approx | urepair | mpd | cfd | denial | cqa | priority")
+	mode := fs.String("mode", "auto", modes(fdrepair.Algorithms()))
 	workers := fs.Int("workers", 1, "worker budget shared by the whole batch (1 = serial)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline; a slow file times out alone (0 = none)")
 	stats := fs.Bool("stats", false, "print per-request solve counters to stderr")
@@ -377,37 +436,13 @@ func cmdBatch(args []string, stdout, stderr io.Writer) error {
 	if len(ins) == 0 {
 		return errors.New("at least one -in is required")
 	}
-	var algo fdrepair.Algorithm
-	switch *mode {
-	case "auto":
-		algo = fdrepair.AlgoOptimalSRepair
-	case "exact":
-		algo = fdrepair.AlgoExactSRepair
-	case "approx":
-		algo = fdrepair.AlgoApproxSRepair
-	case "urepair":
-		algo = fdrepair.AlgoOptimalURepair
-	case "mpd":
-		algo = fdrepair.AlgoMostProbable
-	case "cfd":
-		algo = fdrepair.AlgoCFDSRepair
-		if len(cfdSpecs) == 0 {
-			return errors.New("at least one -cfd is required with -mode cfd")
-		}
-	case "denial":
-		algo = fdrepair.AlgoDenialSRepair
-		if len(dcSpecs) == 0 && len(specs) == 0 {
-			return errors.New("-mode denial needs -dc or -fd constraints")
-		}
-	case "cqa":
-		algo = fdrepair.AlgoCQA
-		if *project == "" {
-			return errors.New("-project is required with -mode cqa")
-		}
-	case "priority":
-		algo = fdrepair.AlgoPriorityRepair
-	default:
-		return fmt.Errorf("unknown -mode %q", *mode)
+	algo, err := fdrepair.ParseAlgorithm(*mode)
+	if err != nil {
+		return err
+	}
+	params := map[string][]string{
+		"fd": specs, "cfd": cfdSpecs, "dc": dcSpecs,
+		"project": {*project}, "where": whereSpecs, "prefer": preferSpecs,
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
@@ -430,58 +465,9 @@ func cmdBatch(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		req := fdrepair.Request{Table: t, Algorithm: algo}
-		// -mode cfd repairs under -cfd constraints alone; -mode denial
-		// may run from -dc constraints without an FD set.
-		if algo != fdrepair.AlgoCFDSRepair && (algo != fdrepair.AlgoDenialSRepair || len(specs) > 0) {
-			req.FDs, err = parseFDs(t.Schema(), specs)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-		}
-		switch algo {
-		case fdrepair.AlgoCFDSRepair:
-			for _, spec := range cfdSpecs {
-				c, err := fdrepair.ParseConditionalFD(t.Schema(), spec)
-				if err != nil {
-					return fmt.Errorf("%s: %w", path, err)
-				}
-				req.CFDs = append(req.CFDs, c)
-			}
-		case fdrepair.AlgoDenialSRepair:
-			for _, spec := range dcSpecs {
-				c, err := fdrepair.ParseDenial(t.Schema(), spec)
-				if err != nil {
-					return fmt.Errorf("%s: %w", path, err)
-				}
-				req.Denial = append(req.Denial, c)
-			}
-		case fdrepair.AlgoCQA:
-			var filters []fdrepair.CQAFilter
-			for _, cond := range whereSpecs {
-				attr, val, ok := strings.Cut(cond, "=")
-				pos, known := t.Schema().AttrIndex(strings.TrimSpace(attr))
-				if !ok || !known {
-					return fmt.Errorf("%s: bad -where %q (want attr=value)", path, cond)
-				}
-				filters = append(filters, fdrepair.CQAFilter{Attr: pos, Value: val})
-			}
-			req.Query, err = fdrepair.NewCQAQuery(t.Schema(), strings.Split(*project, ","), filters...)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-		case fdrepair.AlgoPriorityRepair:
-			rel := fdrepair.NewPriority()
-			for _, p := range preferSpecs {
-				a, b, ok := strings.Cut(p, ">")
-				ai, errA := strconv.Atoi(strings.TrimSpace(a))
-				bi, errB := strconv.Atoi(strings.TrimSpace(b))
-				if !ok || errA != nil || errB != nil {
-					return fmt.Errorf("%s: bad -prefer %q (want id>id)", path, p)
-				}
-				rel.Add(ai, bi)
-			}
-			req.Priority = rel
+		req, err := fdrepair.ParseRequest(t, algo, params)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		reqs = append(reqs, req)
 	}
@@ -495,28 +481,6 @@ func cmdBatch(args []string, stdout, stderr io.Writer) error {
 		bopts = append(bopts, fdrepair.WithRequestTimeout(*timeout))
 	}
 	results := sv.SolveBatch(reqs, bopts...)
-	if *mode == "auto" {
-		// Same semantics as `srepair -mode auto`: files whose FD set is
-		// on the hard side of the dichotomy fall back to the
-		// 2-approximation instead of failing the file.
-		var retry []fdrepair.Request
-		var retryIdx []int
-		for _, res := range results {
-			if errors.Is(res.Err, srepair.ErrNoSimplification) {
-				fmt.Fprintf(stderr, "%s: note: FD set is APX-hard; using the 2-approximation (pass -mode exact for the exponential baseline)\n", ins[res.Index])
-				req := reqs[res.Index]
-				req.Algorithm = fdrepair.AlgoApproxSRepair
-				retry = append(retry, req)
-				retryIdx = append(retryIdx, res.Index)
-			}
-		}
-		if len(retry) > 0 {
-			for i, res := range sv.SolveBatch(retry, bopts...) {
-				res.Index = retryIdx[i]
-				results[retryIdx[i]] = res
-			}
-		}
-	}
 	var firstErr error
 	for _, res := range results {
 		name := ins[res.Index]
@@ -527,14 +491,13 @@ func cmdBatch(args []string, stdout, stderr io.Writer) error {
 			}
 			continue
 		}
+		if res.Degraded {
+			fmt.Fprintf(stderr, "%s: %s\n", name, apxNote)
+		}
 		in := reqs[res.Index].Table
 		switch {
 		case res.URepair != nil:
-			status := "optimal"
-			if !res.URepair.Exact {
-				status = fmt.Sprintf("approximate (ratio ≤ %g)", res.URepair.RatioBound)
-			}
-			fmt.Fprintf(stderr, "%s: dist_upd=%g; %s; method: %s\n", name, res.Cost, status, res.URepair.Method)
+			fmt.Fprintf(stderr, "%s: dist_upd=%g; %s; method: %s\n", name, res.Cost, urepairStatus(res.URepair), res.URepair.Method)
 		case res.CQA != nil:
 			fmt.Fprintf(stderr, "%s: %d certain / %d possible answers across %d subset repairs\n",
 				name, len(res.CQA.Certain), len(res.CQA.Possible), res.CQA.Repairs)
@@ -557,7 +520,7 @@ func cmdBatch(args []string, stdout, stderr io.Writer) error {
 			// CQA produces answer sets, not a repaired table: the certain
 			// answers print as projected CSV rows.
 			fmt.Fprintf(stdout, "== %s ==\n", name)
-			fmt.Fprintln(stdout, *project)
+			fmt.Fprintln(stdout, strings.Join(reqs[res.Index].Query.Columns(), ","))
 			for _, tup := range res.CQA.Certain {
 				fmt.Fprintln(stdout, strings.Join(tup, ","))
 			}
@@ -577,95 +540,14 @@ func cmdBatch(args []string, stdout, stderr io.Writer) error {
 	return firstErr
 }
 
-func cmdURepair(args []string, stdout, stderr io.Writer) error {
-	fs := newFlagSet("urepair", stderr)
-	in := fs.String("in", "", "input CSV")
-	out := fs.String("out", "", "output CSV (default: print)")
-	diff := fs.Bool("diff", false, "print a change summary instead of the table")
-	newSolver := solverFlags(fs)
-	var specs fdFlags
-	fs.Var(&specs, "fd", "functional dependency (repeatable)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" {
-		return errors.New("-in is required")
-	}
-	t, err := loadTable(*in)
-	if err != nil {
-		return err
-	}
-	ds, err := parseFDs(t.Schema(), specs)
-	if err != nil {
-		return err
-	}
-	sv, cancel, report := newSolver(stderr)
-	defer cancel()
-	res, err := sv.OptimalURepair(ds, t)
-	if err != nil {
-		return err
-	}
-	status := "optimal"
-	if !res.Exact {
-		status = fmt.Sprintf("approximate (ratio ≤ %g)", res.RatioBound)
-	}
-	fmt.Fprintf(stderr, "updated-cell cost (dist_upd): %g; %s; method: %s\n", res.Cost, status, res.Method)
-	report()
-	if *diff {
-		return writeDiff(t, res.Update, stdout)
-	}
-	return writeOut(res.Update, *out, stdout)
-}
-
-func cmdMPD(args []string, stdout, stderr io.Writer) error {
-	fs := newFlagSet("mpd", stderr)
-	in := fs.String("in", "", "input CSV (weights are probabilities in (0,1])")
-	out := fs.String("out", "", "output CSV (default: print)")
-	newSolver := solverFlags(fs)
-	var specs fdFlags
-	fs.Var(&specs, "fd", "functional dependency (repeatable)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" {
-		return errors.New("-in is required")
-	}
-	t, err := loadTable(*in)
-	if err != nil {
-		return err
-	}
-	ds, err := parseFDs(t.Schema(), specs)
-	if err != nil {
-		return err
-	}
-	sv, cancel, report := newSolver(stderr)
-	defer cancel()
-	s, p, err := sv.MostProbableDatabase(ds, t)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "most probable database: %d of %d tuples, probability %.6g\n", s.Len(), t.Len(), p)
-	report()
-	return writeOut(s, *out, stdout)
-}
-
 func cmdCount(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("count", stderr)
-	in := fs.String("in", "", "input CSV")
+	load := inputFlags(fs, "input CSV")
 	list := fs.Int("list", 0, "also print up to N repairs")
-	var specs fdFlags
-	fs.Var(&specs, "fd", "functional dependency (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return errors.New("-in is required")
-	}
-	t, err := loadTable(*in)
-	if err != nil {
-		return err
-	}
-	ds, err := parseFDs(t.Schema(), specs)
+	t, ds, err := load()
 	if err != nil {
 		return err
 	}

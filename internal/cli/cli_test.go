@@ -371,3 +371,54 @@ func TestVerifyImpact(t *testing.T) {
 		t.Error("hard FD set must fail with the dichotomy error")
 	}
 }
+
+// TestBatchExtensionModes: the constraint-extension modes parse their
+// flags through the shared request vocabulary. CQA prints its header
+// in schema order (the order answers list values in) whatever order
+// -project gives, with spaces around names trimmed; a malformed -fd is
+// an error under every mode, cfd included.
+func TestBatchExtensionModes(t *testing.T) {
+	in := writeCSV(t, "t.csv", "id,A,B,w\n1,a1,x,1\n2,a1,y,1\n3,a2,z,1\n")
+	for _, project := range []string{"B,A", "A, B"} {
+		out, errOut, code := run("batch", "-in", in, "-fd", "A -> B", "-mode", "cqa", "-project", project)
+		if code != 0 {
+			t.Fatalf("-project %q: exit %d, stderr %q", project, code, errOut)
+		}
+		if want := "== " + in + " ==\nA,B\na2,z\n"; out != want {
+			t.Errorf("-project %q: stdout %q, want %q", project, out, want)
+		}
+	}
+	for _, args := range [][]string{
+		{"-mode", "cfd", "-cfd", "A -> B"},
+		{"-mode", "denial", "-dc", "t1.A = t2.A & t1.B != t2.B"},
+		{"-mode", "priority", "-fd", "A -> B", "-prefer", "1>2"},
+	} {
+		if _, errOut, code := run(append([]string{"batch", "-in", in}, args...)...); code != 0 || !strings.Contains(errOut, "dist_sub=") {
+			t.Errorf("%v: exit %d, stderr %q", args, code, errOut)
+		}
+	}
+	if _, errOut, code := run("batch", "-in", in, "-mode", "cfd", "-cfd", "A -> B", "-fd", "A -> Nope"); code != 1 || !strings.Contains(errOut, "bad fd") {
+		t.Errorf("cfd with malformed -fd: exit %d, stderr %q", code, errOut)
+	}
+	if _, errOut, code := run("batch", "-in", in, "-mode", "cfd"); code != 1 || !strings.Contains(errOut, "(cfd)") {
+		t.Errorf("cfd without -cfd: exit %d, stderr %q", code, errOut)
+	}
+}
+
+// TestModesFromAlgorithmTable: -mode and the usage text come from the
+// algorithm table; srepair takes the S-repair algorithms only.
+func TestModesFromAlgorithmTable(t *testing.T) {
+	out, _, _ := run("help")
+	for _, want := range []string{"[-mode auto|optimal|exact|approx]", "[-mode optimal|exact|approx|urepair|mpd|cfd|denial|cqa|priority|auto]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("usage missing %q:\n%s", want, out)
+		}
+	}
+	in := writeCSV(t, "office.csv", officeCSV)
+	if _, errOut, code := run("srepair", "-in", in, "-fd", "facility -> city", "-mode", "optimal-srepair"); code != 0 {
+		t.Errorf("srepair -mode optimal-srepair: exit %d, stderr %q", code, errOut)
+	}
+	if _, errOut, code := run("srepair", "-in", in, "-fd", "facility -> city", "-mode", "urepair"); code != 1 || !strings.Contains(errOut, "srepair -mode takes auto|optimal|exact|approx") {
+		t.Errorf("srepair -mode urepair: exit %d, stderr %q", code, errOut)
+	}
+}

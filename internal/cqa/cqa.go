@@ -52,6 +52,10 @@ func NewQuery(sc *schema.Schema, project schema.AttrSet, filters ...Filter) (*Qu
 	return &Query{sc: sc, filters: filters, project: project}, nil
 }
 
+// Columns names the query's output attributes in schema order, the
+// order every answer tuple lists its values in.
+func (q *Query) Columns() []string { return q.sc.SetNames(q.project) }
+
 // Eval returns the (set-semantics) answers of the query on one table,
 // as projection keys mapped to representative tuples.
 func (q *Query) Eval(t *table.Table) map[string]table.Tuple {

@@ -131,27 +131,13 @@ func (c *Ctx) Err() error {
 }
 
 // defaultCtx is the process-default context: serial, non-cancellable,
-// no stats. The deprecated fdrepair.SetParallelism shim reconfigures
-// it; everything else receives its Ctx explicitly, so no solve hot path
-// consults package state.
-var defaultCtx atomic.Pointer[Ctx]
-
-func init() { defaultCtx.Store(New(1, nil, nil)) }
+// no stats, and never reconfigured.
+var defaultCtx = New(1, nil, nil)
 
 // Default returns the process-default context used by the ctx-less
-// convenience wrappers (srepair.OptSRepair, urepair.Repair, ...).
-func Default() *Ctx { return defaultCtx.Load() }
-
-// SetDefaultWorkers reconfigures the default context's worker budget.
-// It exists only to back the deprecated fdrepair.SetParallelism shim;
-// new code should construct a per-solve Ctx instead. Safe to call
-// concurrently with running default-context solves: the swap is an
-// atomic pointer store, and an in-flight solve keeps (and completes
-// on) the context it loaded at entry.
-func SetDefaultWorkers(n int) {
-	old := defaultCtx.Load()
-	defaultCtx.Store(New(n, old.s.base, old.s.stats))
-}
+// convenience wrappers (srepair.OptSRepair, urepair.Repair, ...) and
+// by fdrepair's package-level functions.
+func Default() *Ctx { return defaultCtx }
 
 // ---- Size hints ----
 

@@ -353,17 +353,13 @@ func TestStatsSnapshotAndReset(t *testing.T) {
 	}
 }
 
+// TestDefaultWorkers: the process-default context is serial and one
+// immutable value.
 func TestDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(1)
 	if Default().Workers() != 1 {
 		t.Fatalf("default workers = %d", Default().Workers())
 	}
-	SetDefaultWorkers(6)
-	if Default().Workers() != 6 {
-		t.Fatalf("default workers = %d", Default().Workers())
-	}
-	SetDefaultWorkers(0)
-	if Default().Workers() != 1 {
-		t.Fatalf("default workers = %d", Default().Workers())
+	if Default() != Default() {
+		t.Fatal("Default returned two contexts")
 	}
 }

@@ -68,31 +68,11 @@ func OptSRepairCtx(c *solve.Ctx, ds *fd.Set, t *table.Table) (*table.Table, erro
 		// Line 1–2: Δ is trivial, T is its own optimal S-repair.
 		return t, nil
 	}
-	// One solve = one scope: the hints below describe this table only,
-	// so a Ctx reused across tables of different sizes never pre-sizes a
+	// One solve = one scope: the hints describe this table only, so a
+	// Ctx reused across tables of different sizes never pre-sizes a
 	// small solve's fresh scratch at a bigger table's shape.
 	c = c.BeginSolve()
-	// Clamp the distinct-count estimate to the table's length: no
-	// projection has more distinct values than rows, but the dictionary
-	// of an incrementally mutated table retains vanished values, so the
-	// estimate can exceed the live row count. An ingested table refines
-	// the estimate with its full-tuple cardinality sketch (per-column
-	// maxima undercount multi-attribute projections) and threads its
-	// sketch set through as the per-projection cardinality source, so
-	// arena preheating sizes from measured distinct counts instead of
-	// the upper-bound guess.
-	codes := t.DistinctEstimate()
-	if full, ok := t.SketchCardinality(t.Schema().AllAttrs()); ok && full > codes {
-		codes = full
-	}
-	if codes > t.Len() {
-		codes = t.Len()
-	}
-	h := solve.Hints{Rows: t.Len(), Codes: codes}
-	if cs := t.CardSource(); cs != nil {
-		h.Cards = cs
-	}
-	c.SetHints(h)
+	c.SetHints(t.SolveHints())
 	sv := solver{steps: steps, c: c}
 	keep, err := sv.solve(table.NewView(t), 0)
 	if err != nil {

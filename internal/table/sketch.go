@@ -15,6 +15,7 @@ import (
 	"math/bits"
 
 	"repro/internal/schema"
+	"repro/internal/solve"
 )
 
 const (
@@ -141,6 +142,23 @@ func (t *Table) SketchCardinality(attrs schema.AttrSet) (card int, ok bool) {
 		return 0, false
 	}
 	return s.Estimate(), true
+}
+
+// SolveHints sizes a whole-table solve's scratch from the table's
+// shape: its row count; its distinct-count estimate, refined on an
+// ingested table by the full-tuple cardinality sketch (per-column
+// maxima undercount multi-attribute projections) and clamped to the
+// row count (the dictionary of an incrementally mutated table retains
+// vanished values, so the raw estimate can exceed any projection's
+// live distinct count); and its sketch set as the per-projection
+// cardinality source, so arena preheating sizes from measured distinct
+// counts instead of the upper-bound guess.
+func (t *Table) SolveHints() solve.Hints {
+	codes := t.DistinctEstimate()
+	if full, ok := t.SketchCardinality(t.Schema().AllAttrs()); ok && full > codes {
+		codes = full
+	}
+	return solve.Hints{Rows: t.Len(), Codes: min(codes, t.Len()), Cards: t.CardSource()}
 }
 
 // CardSource returns a per-projection cardinality source for

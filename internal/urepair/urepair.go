@@ -81,24 +81,7 @@ func repairFull(c *solve.Ctx, ds *fd.Set, t *table.Table) (Result, error) {
 	// One solve = one scope (the inner S-repair solves run over the same
 	// table, so their nested BeginSolve records the same shape).
 	c = c.BeginSolve()
-	// Clamp the estimate to the row count: dictionaries of incrementally
-	// mutated tables retain vanished values, so the raw estimate can
-	// exceed any projection's live distinct count. Ingested tables
-	// refine the bound with their full-tuple cardinality sketch and
-	// supply their sketch set as the per-projection cardinality source
-	// (see srepair.OptSRepairCtx).
-	codes := t.DistinctEstimate()
-	if full, ok := t.SketchCardinality(t.Schema().AllAttrs()); ok && full > codes {
-		codes = full
-	}
-	if codes > t.Len() {
-		codes = t.Len()
-	}
-	h := solve.Hints{Rows: t.Len(), Codes: codes}
-	if cs := t.CardSource(); cs != nil {
-		h.Cards = cs
-	}
-	c.SetHints(h)
+	c.SetHints(t.SolveHints())
 	u := t.Clone()
 	var cost float64
 	exact := true
@@ -173,6 +156,28 @@ func repairFull(c *solve.Ctx, ds *fd.Set, t *table.Table) (Result, error) {
 	}, nil
 }
 
+// ExactPlan reports whether the planner solves ds exactly, reading the
+// same case analysis Repair dispatches on but no data: consensus
+// attributes are removable (Theorem 4.3), components are independent
+// (Theorem 4.1), and a component is exact when it is trivial, a key
+// swap (Proposition 4.9) or a common-lhs set passing OSRSucceeds
+// (Corollary 4.6). A sufficient condition: the full U-repair dichotomy
+// is open.
+func ExactPlan(ds *fd.Set) bool {
+	for _, comp := range ds.Minus(ds.ConsensusAttrs()).Components() {
+		if !comp.IsTrivialSet() && !isKeySwap(comp) && !commonLHSTractable(comp) {
+			return false
+		}
+	}
+	return true
+}
+
+// commonLHSTractable reports whether Corollary 4.6 applies: a common
+// lhs and the tractable side of the S-repair dichotomy.
+func commonLHSTractable(comp *fd.Set) bool {
+	return !comp.CommonLHS().IsEmpty() && srepair.OSRSucceeds(comp)
+}
+
 // repairComponent solves one consensus-free, attribute-connected
 // component of the FD set against the full table, recording which
 // subroutine won (and the component's FD count) in the solve stats.
@@ -191,7 +196,7 @@ func repairComponent(c *solve.Ctx, comp *fd.Set, t *table.Table) (Result, error)
 			return r, nil
 		}
 	}
-	if !comp.CommonLHS().IsEmpty() && srepair.OSRSucceeds(comp) {
+	if commonLHSTractable(comp) {
 		r, ok, err := commonLHSRepair(c, comp, t)
 		if err != nil {
 			return Result{}, err
