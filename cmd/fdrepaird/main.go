@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxTimeout  = fs.Duration("max-timeout", 5*time.Minute, "ceiling for client-requested timeouts (0 = no ceiling)")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget after SIGTERM")
 		approx      = fs.Duration("approx-fallback", 0, "degrade exact solves to the 2-approximation after this budget (0 = off)")
-		maxBody     = fs.Int64("max-body", 64<<20, "max request body bytes")
+		maxBody     = fs.Int64("max-body", 64<<20, "max request body bytes; longer bodies are refused with 413")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -181,10 +181,16 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The body streams straight through the chunked ingester: the
 	// daemon never holds the raw CSV in memory, only the dictionary
 	// encoding, so peak memory per request is bounded by the encoded
-	// table plus one chunk — not the body size.
-	cr := &countingReader{r: io.LimitReader(http.MaxBytesReader(w, r.Body, s.cfg.maxBody), s.cfg.maxBody)}
+	// table plus one chunk — not the body size. A body over the cap
+	// fails the read, so it is refused whole, never repaired truncated.
+	cr := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.maxBody)}
 	tab, err := table.IngestCSV(cr, "T")
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad table: %v", err), http.StatusBadRequest)
 		return
 	}

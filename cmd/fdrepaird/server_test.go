@@ -153,6 +153,34 @@ func TestSolveBadRequests(t *testing.T) {
 	}
 }
 
+// TestSolveBodyTooLarge: a body over -max-body is refused with 413,
+// never repaired as its truncated prefix; a body of exactly the cap is
+// solved.
+func TestSolveBodyTooLarge(t *testing.T) {
+	cfg := testConfig()
+	cfg.maxBody = 15
+	s := newServer(cfg)
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	q := url.Values{"fd": {"A -> B"}}.Encode()
+	over := "A,B\nx1,y1\nx2,y22\n" // 17 bytes; the first 15 parse as a valid table
+	resp := postSolve(t, ts, q, "", over)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body under a 15-byte cap: status %d, want 413: %s", len(over), resp.StatusCode, body)
+	}
+
+	exact := "A,B\nx1,y1\nx2,y2" // 15 bytes
+	resp = postSolve(t, ts, q, "", exact)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d-byte body under a 15-byte cap: status %d: %s", len(exact), resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Repair-Input-Rows"); got != "2" {
+		t.Fatalf("X-Repair-Input-Rows = %q, want 2", got)
+	}
+}
+
 // TestSolveCQAColumnsSchemaOrder: CQA answers list their values in
 // schema order, so the reply's header row names the columns in that
 // order whatever order project= lists them in; spaces around names are

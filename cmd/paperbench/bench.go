@@ -611,49 +611,13 @@ func writeBenchJSON(path string) error {
 		incCase("IncrementalRepair/touch-0.1%-cells/marriage-sparse/n=102400", marriageDS, &marriageBigTab, touchCells(0.001)),
 	)
 
-	// Sketch-fed hints vs the DistinctEstimate baseline on identical
-	// data: the sketch table is the marriage-sparse table round-tripped
-	// through the streaming ingester, so its solve pre-sizes arenas from
-	// exact per-projection cardinalities instead of the dictionary-size
-	// upper bound. The schema smoke asserts the sketch side's
-	// arena_misses never exceed the baseline's.
-	cases = append(cases,
-		benchCase{"OptSRepairScaling/hints/baseline/marriage-sparse/n=102400", func(b *testing.B) {
-			initInc()
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := srepair.OptSRepair(marriageDS, marriageBigTab); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}, func() *solve.Snapshot {
-			initInc()
-			return optSRepairStats(marriageDS, marriageBigTab)()
-		}},
-		benchCase{"OptSRepairScaling/hints/sketch/marriage-sparse/n=102400", func(b *testing.B) {
-			initInc()
-			sketchTab := ingestRoundTrip(marriageBigTab)
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := srepair.OptSRepair(marriageDS, sketchTab); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}, func() *solve.Snapshot {
-			initInc()
-			return optSRepairStats(marriageDS, ingestRoundTrip(marriageBigTab))()
-		}},
-	)
-
 	// Out-of-core ingestion at the ROADMAP's 10M-row scale. The chunked
 	// and buffered cases consume byte-identical streams (the generator is
 	// deterministic), so their bytes_per_op ratio is the tentpole's
 	// measurement: the chunked path allocates O(chunk + dictionary +
 	// encoding) while the seed path additionally materializes one Go
 	// string per cell. The scaling points solve tables built through the
-	// ingester (sketch-fed hints and all); they run last because each
+	// ingester (hot encoding and all); they run last because each
 	// keeps a ~10M-row table live while it runs. Differential tests in
 	// internal/table pin the two ingest paths to byte-identical tables,
 	// so the pair here measures cost, not correctness.
@@ -755,8 +719,8 @@ func writeBenchJSON(path string) error {
 
 // ingestRoundTrip rebuilds a generated table through WriteCSV →
 // IngestCSV: same rows, IDs and weights, but with the streaming
-// builder's cardinality sketches attached, so solves on the result
-// pre-size arenas the way any ingested table would.
+// builder's dictionary encoding already published, so solves on the
+// result start the way any ingested table's would.
 func ingestRoundTrip(t *table.Table) *table.Table {
 	var buf bytes.Buffer
 	if err := t.WriteCSV(&buf); err != nil {

@@ -81,23 +81,22 @@
 // (table.IngestCSV) that never materializes the raw string form of
 // the table: each cell is parsed from a reusable byte buffer, looked
 // up in the per-attribute dictionary without allocating, and stored
-// as an int32 code in a fixed-size column chunk. Only the first
-// occurrence of a distinct value allocates a string; every later
-// occurrence shares it. Transient memory is O(chunk + dictionary),
-// so peak heap while loading a table tracks the encoded size (int32
-// columns plus one string per distinct value), not the CSV size —
-// the property that makes 10M-row inputs loadable under a GOMEMLIMIT
-// a tuple-at-a-time reader cannot satisfy.
+// as an int32 code in a column chunk. Only the first occurrence of a
+// distinct value allocates a string; every later occurrence shares
+// it. Transient memory is O(chunk + dictionary), so peak heap while
+// loading a table tracks the encoded size (int32 columns plus one
+// string per distinct value), not the CSV size — the property that
+// makes 10M-row inputs loadable under a GOMEMLIMIT a tuple-at-a-time
+// reader cannot satisfy.
 //
-// Ingestion also builds per-attribute (and small-attribute-set)
-// cardinality sketches: exact sets below a few thousand distinct
-// values, an HLL-style register estimate above. Solves on an ingested
-// table feed these to the engine's arena preheating through
-// solve.Hints, replacing the dictionary-size upper bound with real
-// distinct counts, so scratch buffers for group-by and matching are
-// sized right the first time. Tables built programmatically carry no
-// sketches and keep the estimate-based behavior; mutating an ingested
-// table drops its sketches along with its cached encoding.
+// Chunks grow with the input: the first holds 256 rows and each later
+// one twice the previous, up to 65,536 rows. A small table therefore
+// costs what its rows cost, not a full-size chunk; a table that fits
+// in the first chunk keeps it as its storage, and a larger one is
+// copied once into exact-size columns when ingestion ends. The
+// finished table carries its dictionary encoding, so the first solve
+// starts hot, and its exact per-attribute dictionary sizes size the
+// solve's scratch (solve.Hints), as they do for a Session.
 //
 // # Operating fdrepaird
 //
@@ -120,7 +119,8 @@
 //	                parameters fd=, cfd=, dc=, project=/where=,
 //	                prefer=; response: the repair as CSV with
 //	                X-Repair-* headers (algo=cqa: the certain answers
-//	                with X-Cqa-* headers)
+//	                with X-Cqa-* headers); a body longer than
+//	                -max-body is refused with 413
 //
 // Admission and quotas. A request passes three gates in order: the
 // drain flag (503 + Retry-After once shutdown has begun), the

@@ -316,15 +316,11 @@ func (s *Session) Repair() (*Table, float64, error) {
 		return rep, 0, nil
 	}
 
-	// One Repair = one solve scope, exactly like the cold entry point —
-	// plus the session's live dictionary as the exact cardinality
-	// source for scratch presizing.
+	// One Repair = one solve scope with the same hints as the cold
+	// entry point: the session's live dictionary is the exact
+	// cardinality source for scratch presizing.
 	c := s.sv.ctx.BeginSolve()
-	codes := s.t.DistinctEstimate()
-	if codes > n {
-		codes = n
-	}
-	c.SetHints(solve.Hints{Rows: n, Codes: codes, Cards: s.t.ProjectionCardinality})
+	c.SetHints(s.t.SolveHints())
 
 	groups := s.t.RowGroups(s.partAttrs)
 	full := dirtyRows > int(s.fallbackFrac*float64(n)) || !s.primed

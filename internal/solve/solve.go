@@ -147,26 +147,22 @@ func Default() *Ctx { return defaultCtx }
 // count of any projection (bounds code→local translation tables and
 // per-node matching arrays). Zero fields mean "unknown".
 //
-// Cards, when non-nil, is a per-projection cardinality source — a
-// resident session's live dictionary (table.ProjectionCardinality,
-// exact) or a streaming ingestion's cardinality sketches
-// (table.CardSource, exact below the sketch overflow threshold and
-// within a few percent above it) — that refines the single worst-case
-// Codes bound with the distinct count of the one projection a consumer
-// is about to materialize. The algorithms query it through
+// Cards, when non-nil, is a per-projection cardinality source — the
+// table's live dictionary encoding (table.ProjectionCardinality, which
+// table.SolveHints passes) — that refines the single worst-case Codes
+// bound with the code-space size of the one projection a consumer is
+// about to materialize. The algorithms query it through
 // Ctx.ProjectionCard and use the answers only for scratch pre-sizing,
-// so an estimate that is off costs one slice growth, never
-// correctness.
+// so an answer that is off costs one slice growth, never correctness.
 type Hints struct {
 	Rows, Codes int
 	Cards       CardSource
 }
 
-// CardSource reports a distinct-count estimate for the projection onto
-// attrs, when one is available. Answers feed capacity pre-sizing only
-// and may be approximate (sketch-derived); implementations must be
-// safe for concurrent use and cheap (the solve hot paths consult them
-// per block step).
+// CardSource reports a distinct-count bound for the projection onto
+// attrs, when one is available. Answers feed capacity pre-sizing only;
+// implementations must be safe for concurrent use and cheap (the solve
+// hot paths consult them per block step).
 type CardSource func(attrs schema.AttrSet) (int, bool)
 
 // SetHints records size hints on the current scope, keeping the

@@ -2,15 +2,17 @@ package table
 
 // ChunkedBuilder is the streaming construction path behind IngestCSV:
 // it encodes rows straight into dictionary codes as they arrive, in
-// fixed-size column chunks, and never holds a raw (un-interned) string
-// form of the table. Each distinct value is allocated exactly once —
-// the interned copy lives in the per-attribute dictionary and is
-// shared by every tuple that carries the value — so transient memory
-// is O(chunk + dictionary) instead of O(table). Flush concatenates
-// the chunks into an exact-size row store and publishes the finished
-// dictionary encoding (and the cardinality sketches fed during the
-// stream) on the returned Table, so the first solve starts from a hot
-// encoding instead of re-interning every column.
+// column chunks, and never holds a raw (un-interned) string form of
+// the table. Each distinct value is allocated exactly once — the
+// interned copy lives in the per-attribute dictionary and is shared by
+// every tuple that carries the value — so transient memory is
+// O(chunk + dictionary) instead of O(table). Chunks start at
+// firstChunkRows rows and double up to chunkRows, so a small table
+// pays for a small chunk, not for the full-size one. Flush keeps a
+// table that fits in one chunk as that chunk, concatenates a larger
+// one into an exact-size row store, and publishes the finished
+// dictionary encoding on the returned Table, so the first solve starts
+// from a hot encoding instead of re-interning every column.
 //
 // Validation matches Insert row for row — arity, then positive weight,
 // then duplicate identifier, then the reserved-value check, with
@@ -30,20 +32,16 @@ import (
 // freshPrefixBytes is freshPrefix for []byte prefix checks.
 var freshPrefixBytes = []byte(freshPrefix)
 
-// chunkRows is the row granularity of the builder's segmented storage:
-// row structs, tuple backing, and column codes are allocated in chunks
-// of this many rows, then concatenated exactly-sized at Flush. Big
-// enough to amortize allocation, small enough that a partly filled
-// tail chunk is noise.
-const chunkRows = 1 << 16
-
-// pairSketch tracks one multi-attribute cardinality sketch fed during
-// the stream.
-type pairSketch struct {
-	i, j int // attribute positions
-	set  schema.AttrSet
-	s    *CardSketch
-}
+// Chunk schedule of the builder's segmented storage: row structs,
+// tuple backing and column codes are allocated in chunks, the first of
+// firstChunkRows rows and each later one twice the previous, up to
+// chunkRows. Full-size chunks are big enough to amortize allocation
+// and small enough that a partly filled tail chunk is noise; the ramp
+// keeps a 100-row table from allocating a 65,536-row chunk.
+const (
+	firstChunkRows = 1 << 8
+	chunkRows      = 1 << 16
+)
 
 // ChunkedBuilder streams rows into a dictionary-encoded Table.
 // Not safe for concurrent use. Sealed by Flush.
@@ -60,20 +58,13 @@ type ChunkedBuilder struct {
 	colCur    [][]int32   // per attribute: current chunk
 	rowChunks [][]Row     // completed row chunks
 	rowCur    []Row       // current row chunk
-	tupCur    []Value     // current chunk's tuple backing (arity*chunkRows)
+	tupCur    []Value     // current chunk's tuple backing (arity*chunkCap)
+	chunkCap  int         // row capacity of the current (or next) chunk
 
 	n      int              // rows accepted so far
 	nextID int              // watermark, same rule as Table.nextID
 	lastID int              // largest id seen; fast-path duplicate guard
 	idSeen map[int]struct{} // materialized on first out-of-order id
-
-	// Cardinality sketches fed per row: every attribute pair, plus the
-	// full attribute set when arity ≥ 3 (for arity 2 the pair is the
-	// full set). Singles are exact from the dictionaries.
-	pairs    []pairSketch
-	full     *CardSketch
-	fullSet  schema.AttrSet
-	codesScr []int32 // per-row scratch: this row's code per attribute
 
 	sealed bool
 }
@@ -91,29 +82,12 @@ func NewChunkedBuilder(sc *schema.Schema) *ChunkedBuilder {
 		revs:      make([][]Value, k),
 		colChunks: make([][][]int32, k),
 		colCur:    make([][]int32, k),
+		chunkCap:  firstChunkRows,
 		nextID:    1,
 		lastID:    -1 << 62,
-		codesScr:  make([]int32, k),
 	}
 	for a := 0; a < k; a++ {
 		b.dicts[a] = make(map[Value]int32, 256)
-	}
-	if k >= 2 && k <= sketchMaxArity {
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				b.pairs = append(b.pairs, pairSketch{
-					i: i, j: j,
-					set: schema.Singleton(i).Union(schema.Singleton(j)),
-					s:   newCardSketch(),
-				})
-			}
-		}
-		if k >= 3 {
-			b.full = newCardSketch()
-			for i := 0; i < k; i++ {
-				b.fullSet = b.fullSet.Union(schema.Singleton(i))
-			}
-		}
 	}
 	return b
 }
@@ -166,9 +140,9 @@ func (b *ChunkedBuilder) Append(id int, cells [][]byte, weight float64) error {
 
 	// Row accepted: intern cells and encode.
 	if b.rowCur == nil {
-		b.rowCur = make([]Row, 0, chunkRows)
+		b.rowCur = make([]Row, 0, b.chunkCap)
 		if b.arity > 0 {
-			b.tupCur = make([]Value, 0, chunkRows*b.arity)
+			b.tupCur = make([]Value, 0, b.chunkCap*b.arity)
 		}
 	}
 	var tup Tuple
@@ -185,10 +159,9 @@ func (b *ChunkedBuilder) Append(id int, cells [][]byte, weight float64) error {
 				dict[v] = c
 				b.revs[a] = append(b.revs[a], v)
 			}
-			b.codesScr[a] = c
 			b.tupCur = append(b.tupCur, b.revs[a][c])
 			if b.colCur[a] == nil {
-				b.colCur[a] = make([]int32, 0, chunkRows)
+				b.colCur[a] = make([]int32, 0, b.chunkCap)
 			}
 			b.colCur[a] = append(b.colCur[a], c)
 		}
@@ -206,28 +179,15 @@ func (b *ChunkedBuilder) Append(id int, cells [][]byte, weight float64) error {
 		b.idSeen[id] = struct{}{}
 	}
 
-	// Feed the multi-attribute sketches from this row's codes.
-	for i := range b.pairs {
-		ps := &b.pairs[i]
-		ps.s.Add(mix64(uint64(uint32(b.codesScr[ps.i]))<<32 | uint64(uint32(b.codesScr[ps.j]))))
-	}
-	if b.full != nil {
-		h := uint64(0xcbf29ce484222325)
-		for _, c := range b.codesScr {
-			h ^= uint64(uint32(c))
-			h *= 0x100000001b3
-		}
-		b.full.Add(mix64(h))
-	}
-
-	if len(b.rowCur) == chunkRows {
+	if len(b.rowCur) == b.chunkCap {
 		b.flushChunk()
 	}
 	return nil
 }
 
-// flushChunk seals the current chunk. The tuple backing stays alive —
-// the rows reference it — only the chunk headers move.
+// flushChunk seals the current chunk and doubles the next one's
+// capacity, up to chunkRows. The tuple backing stays alive — the rows
+// reference it — only the chunk headers move.
 func (b *ChunkedBuilder) flushChunk() {
 	b.rowChunks = append(b.rowChunks, b.rowCur)
 	b.rowCur = nil
@@ -236,17 +196,19 @@ func (b *ChunkedBuilder) flushChunk() {
 		b.colChunks[a] = append(b.colChunks[a], b.colCur[a])
 		b.colCur[a] = nil
 	}
+	b.chunkCap = min(2*b.chunkCap, chunkRows)
 }
 
-// Flush concatenates the chunks into an exact-size table, publishes
-// the dictionary encoding built during the stream, attaches the
-// cardinality sketches, and seals the builder.
+// Flush publishes the table and the dictionary encoding built during
+// the stream, and seals the builder. A table that fits in one chunk
+// keeps that chunk as its row store and columns; a larger one is
+// concatenated into exact-size storage.
 func (b *ChunkedBuilder) Flush() *Table {
 	if b.sealed {
 		panic("table: ChunkedBuilder used after Flush")
 	}
 	b.sealed = true
-	if len(b.rowCur) > 0 || b.colCurNonEmpty() {
+	if len(b.rowCur) > 0 {
 		b.flushChunk()
 	}
 	t := New(b.sc)
@@ -255,13 +217,6 @@ func (b *ChunkedBuilder) Flush() *Table {
 		return t
 	}
 
-	rows := make([]Row, 0, b.n)
-	for ci, ch := range b.rowChunks {
-		rows = append(rows, ch...)
-		b.rowChunks[ci] = nil // free as we go: bound peak memory
-	}
-	t.rows = rows
-
 	e := &encoding{
 		n:     b.n,
 		cols:  make([][]int32, b.arity),
@@ -269,35 +224,26 @@ func (b *ChunkedBuilder) Flush() *Table {
 		dicts: b.dicts,
 		proj:  make(map[schema.AttrSet]*projection),
 	}
+	t.rows = concatChunks(b.rowChunks, b.n)
 	for a := 0; a < b.arity; a++ {
-		col := make([]int32, 0, b.n)
-		for ci, ch := range b.colChunks[a] {
-			col = append(col, ch...)
-			b.colChunks[a][ci] = nil
-		}
-		e.cols[a] = col
+		e.cols[a] = concatChunks(b.colChunks[a], b.n)
 		e.card[a] = len(b.revs[a])
 	}
 	t.enc.Store(e)
-
-	if len(b.pairs) > 0 || b.full != nil {
-		sk := &tableSketches{bySet: make(map[schema.AttrSet]*CardSketch, len(b.pairs)+1)}
-		for i := range b.pairs {
-			sk.bySet[b.pairs[i].set] = b.pairs[i].s
-		}
-		if b.full != nil {
-			sk.bySet[b.fullSet] = b.full
-		}
-		t.sk.Store(sk)
-	}
 	return t
 }
 
-func (b *ChunkedBuilder) colCurNonEmpty() bool {
-	for a := 0; a < b.arity; a++ {
-		if len(b.colCur[a]) > 0 {
-			return true
-		}
+// concatChunks returns the n elements held by chunks as one slice: the
+// single chunk itself when there is one, otherwise an exact-size copy,
+// releasing each chunk as it is copied to bound peak memory.
+func concatChunks[E any](chunks [][]E, n int) []E {
+	if len(chunks) == 1 {
+		return chunks[0]
 	}
-	return false
+	out := make([]E, 0, n)
+	for ci, ch := range chunks {
+		out = append(out, ch...)
+		chunks[ci] = nil
+	}
+	return out
 }

@@ -26,8 +26,8 @@ func ReadCSV(r io.Reader, relationName string) (*Table, error) {
 // ChunkedBuilder: every cell is interned into the per-attribute
 // dictionary as it is scanned (one string allocation per distinct
 // value, a map lookup per repeated one), column codes accumulate in
-// fixed-size chunks, and the finished table is published with its
-// dictionary encoding and ingestion cardinality sketches already
+// chunks that grow from firstChunkRows to chunkRows rows, and the
+// finished table is published with its dictionary encoding already
 // built. The output is identical to the buffered seed path
 // (ReadCSVBuffered) on every input, error cases included; only the
 // allocation profile differs.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/schema"
+	"repro/internal/solve"
 )
 
 // The dictionary encoding turns every column into a dense []int32 of
@@ -126,10 +127,8 @@ func (e *encoding) clone(arity int) *encoding {
 }
 
 // invalidate drops the cached encoding; called by every plain mutation.
-// Ingestion sketches go with it — they describe the pre-mutation rows.
 func (t *Table) invalidate() {
 	t.enc.Store(nil)
-	t.sk.Store(nil)
 }
 
 // projection returns the cached projection for attrs, building (and
@@ -408,8 +407,8 @@ func (t *Table) RowGroups(attrs schema.AttrSet) [][]int32 {
 // projection onto attrs from the live encoding snapshot, without
 // forcing a build: the dictionary size for a single attribute, the
 // group bound for a cached projection, 1 for the empty set. ok is false
-// when the snapshot has not encoded attrs yet. Resident sessions feed
-// this to solve.Hints as the cardinality source, replacing the
+// when the snapshot has not encoded attrs yet. SolveHints feeds this
+// to solve.Hints as the cardinality source, replacing the
 // DistinctEstimate guess with the dictionary's real counts.
 func (t *Table) ProjectionCardinality(attrs schema.AttrSet) (card int, ok bool) {
 	e := t.enc.Load()
@@ -460,6 +459,17 @@ func (t *Table) DistinctEstimate() int {
 		return len(t.rows)
 	}
 	return best
+}
+
+// SolveHints sizes a solve's scratch from the table's shape: its row
+// count, its distinct-count estimate clamped to the row count (the
+// dictionary of an incrementally mutated table retains vanished values,
+// so the raw estimate can exceed any projection's live distinct count),
+// and the live encoding's exact per-projection counts as the
+// cardinality source. Whole-table solves and sessions share it.
+func (t *Table) SolveHints() solve.Hints {
+	n := t.Len()
+	return solve.Hints{Rows: n, Codes: min(t.DistinctEstimate(), n), Cards: t.ProjectionCardinality}
 }
 
 // IndexOf returns the position of the identifier in insertion order

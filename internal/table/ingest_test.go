@@ -268,55 +268,142 @@ func TestIngestCSVLineNumbers(t *testing.T) {
 	}
 }
 
-// TestIngestSketches checks the cardinality sketches an ingestion
-// attaches: exact counts below the overflow threshold, close estimates
-// above it, and invalidation on mutation.
-func TestIngestSketches(t *testing.T) {
+// chunkEdgeCSV renders an n-row CSV with id and w columns and three
+// attributes of different cardinalities. Identifiers ascend in steps of
+// two from 2; when ooo > 0, row ooo instead carries the identifier
+// oooID, which arrives after the rows before it have been sealed into
+// chunks.
+func chunkEdgeCSV(n, ooo, oooID int) string {
 	var sb strings.Builder
-	sb.WriteString("A,B,C\n")
-	n := 6000
+	sb.WriteString("id,A,B,C,w\n")
 	for i := 0; i < n; i++ {
-		// |A| = 50, |B| = 120, |AB| = 6000 distinct pairs (> overflow),
-		// |AC|, |BC| and |ABC| small.
-		fmt.Fprintf(&sb, "a%d,b%d,c%d\n", i%50, i/50, i%7)
+		id := 2 * (i + 1)
+		if ooo > 0 && i == ooo {
+			id = oooID
+		}
+		fmt.Fprintf(&sb, "%d,a%d,b%d,c%d,%d\n", id, i%13, i/7, i%1000, 1+i%3)
 	}
-	tab, err := IngestCSV(strings.NewReader(sb.String()), "R")
+	return sb.String()
+}
+
+// TestIngestChunkEdges pins IngestCSV against ReadCSVBuffered at the
+// edges of the chunk schedule: chunks of 256, 512, 1024, ... rows, so
+// rows 257 and 769 open the second and third chunks and row 65,281
+// opens the first full-size one. A table that fits in the first chunk
+// keeps it as its row store; a larger one is copied into exact-size
+// storage. An out-of-order identifier after several sealed chunks makes
+// the duplicate check walk all of them.
+func TestIngestChunkEdges(t *testing.T) {
+	for _, n := range []int{1, 255, 256, 257, 767, 768, 769, 65280, 65281} {
+		in := chunkEdgeCSV(n, 0, 0)
+		want, err := ReadCSVBuffered(strings.NewReader(in), "R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := IngestCSV(strings.NewReader(in), "R")
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		ingestTablesEqual(t, got, want, fmt.Sprintf("chunk edge n=%d", n))
+		wantCap := n
+		if n <= firstChunkRows {
+			wantCap = firstChunkRows
+		}
+		if c := cap(got.rows); c != wantCap {
+			t.Errorf("n=%d: row store capacity %d, want %d", n, c, wantCap)
+		}
+	}
+
+	// Rows 0..1791 fill the 256-, 512- and 1024-row chunks; row 2000
+	// sits in the fourth. Identifier 3 is unused and below the
+	// watermark; identifier 4 is row 1's, in the first sealed chunk.
+	for _, tc := range []struct {
+		oooID   int
+		wantErr string
+	}{
+		{3, ""},
+		{4, "duplicate tuple identifier 4"},
+	} {
+		in := chunkEdgeCSV(3000, 2000, tc.oooID)
+		want, werr := ReadCSVBuffered(strings.NewReader(in), "R")
+		got, gerr := IngestCSV(strings.NewReader(in), "R")
+		if tc.wantErr != "" {
+			if werr == nil || gerr == nil || gerr.Error() != werr.Error() || !strings.Contains(gerr.Error(), tc.wantErr) {
+				t.Fatalf("id %d at row 2000: buffered=%v ingest=%v, want %q from both", tc.oooID, werr, gerr, tc.wantErr)
+			}
+			continue
+		}
+		if werr != nil || gerr != nil {
+			t.Fatalf("id %d at row 2000: buffered=%v ingest=%v", tc.oooID, werr, gerr)
+		}
+		ingestTablesEqual(t, got, want, fmt.Sprintf("id %d at row 2000", tc.oooID))
+	}
+}
+
+// TestIngestAllocBound guards IngestCSV's fixed cost: a small CSV must
+// allocate in proportion to its rows, not a full-size chunk's worth of
+// row, tuple and column storage (~6.5 MB for three attributes).
+func TestIngestAllocBound(t *testing.T) {
+	for _, tc := range []struct {
+		rows  int
+		bound int64
+	}{
+		{100, 512 << 10},
+		{6400, 4 << 20},
+	} {
+		in := chunkEdgeCSV(tc.rows, 0, 0)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := IngestCSV(strings.NewReader(in), "R"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got >= tc.bound {
+			t.Errorf("IngestCSV of %d rows allocates %d B/op, want under %d", tc.rows, got, tc.bound)
+		}
+	}
+}
+
+// TestSolveHintsFromEncoding pins the one hint source of whole-table
+// solves and sessions: the row count, the distinct estimate clamped to
+// it, and the live encoding's exact counts as the cardinality source.
+func TestSolveHintsFromEncoding(t *testing.T) {
+	tab, err := IngestCSV(strings.NewReader(chunkEdgeCSV(100, 0, 0)), "R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab := schema.Singleton(0).Union(schema.Singleton(1))
-	ac := schema.Singleton(0).Union(schema.Singleton(2))
-	abc := ab.Union(schema.Singleton(2))
-
-	if est, ok := tab.SketchCardinality(ac); !ok || est != 50*7 {
-		t.Errorf("AC sketch = %d, %v; want exact %d", est, ok, 50*7)
+	h := tab.SolveHints()
+	if h.Rows != 100 || h.Codes != 100 {
+		t.Fatalf("hints Rows=%d Codes=%d, want 100 and 100", h.Rows, h.Codes)
 	}
-	if est, ok := tab.SketchCardinality(ab); !ok {
-		t.Error("AB sketch missing")
-	} else if ratio := float64(est) / float64(n); ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("AB sketch estimate %d for true %d (off by more than 10%%)", est, n)
-	}
-	cs := tab.CardSource()
-	if cs == nil {
-		t.Fatal("CardSource nil after ingestion")
-	}
-	if card, ok := cs(abc); !ok || card <= 0 {
-		t.Errorf("CardSource(ABC) = %d, %v", card, ok)
-	}
-	// Singles resolve exactly through the published encoding.
-	if card, ok := cs(schema.Singleton(1)); !ok || card != 120 {
-		t.Errorf("CardSource(B) = %d, %v; want 120", card, ok)
+	if card, ok := h.Cards(schema.Singleton(0)); !ok || card != 13 {
+		t.Fatalf("Cards(A) = %d, %v; want exact 13", card, ok)
 	}
 
-	// Plain mutation drops the sketches with the encoding.
-	if err := tab.Insert(100000, Tuple{"zz", "zz", "zz"}, 1); err != nil {
+	// Recoding every C cell doubles C's dictionary; Codes stays clamped
+	// to the row count.
+	var updates []CellUpdate
+	for _, id := range tab.IDs() {
+		updates = append(updates, CellUpdate{ID: id, Attr: 2, Val: fmt.Sprintf("c%d", id+5000)})
+	}
+	if err := tab.SetCellsIncremental(updates); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tab.SketchCardinality(ab); ok {
-		t.Error("sketch survived mutation")
+	if est := tab.DistinctEstimate(); est != 200 {
+		t.Fatalf("DistinctEstimate = %d, want the retained 200", est)
 	}
-	if tab.CardSource() != nil {
-		t.Error("CardSource survived mutation")
+	if h := tab.SolveHints(); h.Codes != 100 {
+		t.Fatalf("Codes = %d, want the row count 100", h.Codes)
+	}
+
+	// A plain mutation drops the encoding: no exact counts remain.
+	if err := tab.Insert(1, Tuple{"a", "b", "c"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tab.SolveHints().Cards(schema.Singleton(0)); ok {
+		t.Fatal("Cards answered from a dropped encoding")
 	}
 }
 
@@ -393,17 +480,6 @@ func FuzzChunkedBuilder(f *testing.F) {
 		if werr != nil {
 			return
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("row count mismatch: %d vs %d\ninput: %q", got.Len(), want.Len(), in)
-		}
-		for i := range want.rows {
-			g, w := got.rows[i], want.rows[i]
-			if g.ID != w.ID || g.Weight != w.Weight || !g.Tuple.Equal(w.Tuple) {
-				t.Fatalf("row %d mismatch: %+v vs %+v\ninput: %q", i, g, w, in)
-			}
-		}
-		if got.nextID != want.nextID {
-			t.Fatalf("nextID mismatch: %d vs %d\ninput: %q", got.nextID, want.nextID, in)
-		}
+		ingestTablesEqual(t, got, want, in)
 	})
 }

@@ -88,13 +88,6 @@ type Table struct {
 
 	encMu sync.Mutex               // serializes encoding builds
 	enc   atomic.Pointer[encoding] // published immutable snapshot
-
-	// sk holds the cardinality sketches a streaming ingestion
-	// (IngestCSV / ChunkedBuilder) attached, if any. Dropped together
-	// with the encoding on plain mutation: the sketches describe the
-	// ingested snapshot, and pre-sizing from stale counts after edits
-	// would quietly drift.
-	sk atomic.Pointer[tableSketches]
 }
 
 // New returns an empty table over the schema.
