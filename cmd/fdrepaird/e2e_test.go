@@ -104,7 +104,12 @@ func TestDaemonE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	go func() {
+		// Wait closes the stdout pipe, so the reader must reach EOF
+		// first or the drain log can be lost.
+		wg.Wait()
+		done <- cmd.Wait()
+	}()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -113,7 +118,6 @@ func TestDaemonE2E(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not exit within 15s of SIGTERM")
 	}
-	wg.Wait()
 	if !strings.Contains(rest.String(), "drained cleanly") {
 		t.Fatalf("drain log missing:\n%s", rest.String())
 	}

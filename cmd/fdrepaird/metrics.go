@@ -33,6 +33,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"shed_queue_full", s.m.shedQueue.Load()},
 		{"shed_quota", s.m.shedQuota.Load()},
 		{"shed_draining", s.m.shedDraining.Load()},
+		{"rejected", s.m.rejected.Load()},
 		{"completed", s.m.completed.Load()},
 		{"failed", s.m.failed.Load()},
 		{"deadline_exceeded", s.m.deadlineExceeded.Load()},

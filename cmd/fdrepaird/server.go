@@ -30,13 +30,16 @@ type config struct {
 
 // counters are the daemon's per-request outcome counters, exported at
 // /metrics. Admission outcomes (admitted vs the shed_* family) sum to
-// every /solve request seen; completion outcomes describe admitted
-// requests only.
+// every /solve request seen. Each admitted request then ends in one
+// completion outcome — rejected (refused with 400 or 413 before the
+// solve), completed, failed, deadline_exceeded or panicked — unless the
+// solver is closing, which counts it as shed_draining.
 type counters struct {
 	admitted         atomic.Int64
 	shedQueue        atomic.Int64
 	shedQuota        atomic.Int64
 	shedDraining     atomic.Int64
+	rejected         atomic.Int64
 	completed        atomic.Int64
 	failed           atomic.Int64
 	deadlineExceeded atomic.Int64
@@ -163,14 +166,14 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	algo, err := fdrepair.ParseAlgorithm(algoName)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.reject(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	timeout := s.cfg.defaultTimeout
 	if ts := q.Get("timeout"); ts != "" {
 		d, err := time.ParseDuration(ts)
 		if err != nil || d <= 0 {
-			http.Error(w, fmt.Sprintf("bad timeout %q", ts), http.StatusBadRequest)
+			s.reject(w, fmt.Sprintf("bad timeout %q", ts), http.StatusBadRequest)
 			return
 		}
 		timeout = d
@@ -188,17 +191,17 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			s.reject(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
 			return
 		}
-		http.Error(w, fmt.Sprintf("bad table: %v", err), http.StatusBadRequest)
+		s.reject(w, fmt.Sprintf("bad table: %v", err), http.StatusBadRequest)
 		return
 	}
 	s.m.ingestRows.Add(int64(tab.Len()))
 	s.m.ingestBytes.Add(cr.n.Load())
 	req, err := fdrepair.ParseRequest(tab, algo, q)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.reject(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
@@ -262,6 +265,13 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is log.
 		s.cfg.logf("fdrepaird: writing response: %v", err)
 	}
+}
+
+// reject refuses an admitted request before its solve — a malformed
+// request (400) or a body over -max-body (413) — and counts it.
+func (s *server) reject(w http.ResponseWriter, msg string, code int) {
+	s.m.rejected.Add(1)
+	http.Error(w, msg, code)
 }
 
 // writeSolveError maps a request's failure to an HTTP status and

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,38 @@ func TestSolveBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
+	if got := checkOutcomes(t, ts); got["rejected"] != 5 {
+		t.Fatalf("rejected = %d, want 5", got["rejected"])
+	}
+}
+
+// checkOutcomes scrapes the {outcome=...} series from /metrics and
+// checks that every admitted request ended in exactly one completion
+// outcome.
+func checkOutcomes(t *testing.T, ts *httptest.Server) map[string]int64 {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for _, line := range strings.Split(readAll(t, resp), "\n") {
+		rest, ok := strings.CutPrefix(line, `fdrepaird_requests_total{outcome="`)
+		if !ok {
+			continue
+		}
+		name, val, _ := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		got[name] = v
+	}
+	done := got["rejected"] + got["completed"] + got["failed"] + got["deadline_exceeded"] + got["panicked"]
+	if got["admitted"] != done {
+		t.Fatalf("admitted = %d, completion outcomes sum to %d: %v", got["admitted"], done, got)
+	}
+	return got
 }
 
 // TestSolveBodyTooLarge: a body over -max-body is refused with 413,
@@ -178,6 +211,9 @@ func TestSolveBodyTooLarge(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Repair-Input-Rows"); got != "2" {
 		t.Fatalf("X-Repair-Input-Rows = %q, want 2", got)
+	}
+	if got := checkOutcomes(t, ts); got["rejected"] != 1 || got["completed"] != 1 {
+		t.Fatalf("rejected = %d, completed = %d; want 1 and 1", got["rejected"], got["completed"])
 	}
 }
 

@@ -372,10 +372,8 @@ func writeBenchJSON(path string) error {
 	// run as one SolveBatch on one Solver, the request-serving shape the
 	// batch entry point exists for. The companion small-after-large case
 	// measures a small solve on a Solver that has already repaired the
-	// 102400-row table; with per-request solve scopes its B/op must
-	// track the small table, not the large one (the sticky-hints bug
-	// pre-sized every cold buffer at the biggest table ever seen — the
-	// schema smoke asserts the ratio, and fdrepair's
+	// 102400-row table; its B/op must track the small table, not the
+	// large one (the schema smoke asserts the ratio, and fdrepair's
 	// TestStickyHintsRegression pins it at 2× against a fresh Solver).
 	// These cases run last, and their tables are generated lazily on
 	// first use: they keep a 102400-row table live, and anything

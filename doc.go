@@ -73,19 +73,18 @@
 // executing worker's cache even when tasks are stolen) over sync.Pool
 // overflow (group-by buffers, block result slices, marriage edge
 // lists, matcher CSR/potential/distance arrays and heap storage,
-// recycled across recursion levels, components and sequential solves),
-// pre-sized on first use from solve.Hints (row count, distinct-code
-// estimate) taken from the input table; cooperative cancellation
-// (WithContext — checked at task dispatch, recursion and component
-// boundaries, every few augmenting phases inside the sparse matching
-// loop, and inside the exponential vertex-cover search, so a
-// deadline-exceeded solve returns the context error promptly without
-// touching the input table); and an optional SolveStats record
-// (WithStats — recursion nodes, tasks inline/executed/stolen, matcher
-// path dispatches, U-repair planner decisions per component, arena
-// reuse). Nothing on the solve hot path reads package-level pool
-// state, so any number of Solvers with different settings run
-// concurrently.
+// recycled across recursion levels, components and sequential solves,
+// grown to what the work asks for and converging on high-water sizes);
+// cooperative cancellation (WithContext — checked at task dispatch,
+// recursion and component boundaries, every few augmenting phases
+// inside the sparse matching loop, and inside the exponential
+// vertex-cover search, so a deadline-exceeded solve returns the
+// context error promptly without touching the input table); and an
+// optional SolveStats record (WithStats — recursion nodes, tasks
+// inline/executed/stolen, matcher path dispatches, U-repair planner
+// decisions per component, arena reuse). Nothing on the solve hot path
+// reads package-level pool state, so any number of Solvers with
+// different settings run concurrently.
 //
 // # Request scopes and batching
 //
@@ -93,18 +92,13 @@
 // worker budget and scheduler, the scratch arenas, the aggregate stats
 // sink — persists across solves; that persistence is the point of a
 // long-lived Solver (arena buffers converge on high-water sizes, the
-// scheduler holds the budget). Per-request state — the scratch
-// pre-sizing hints taken from the input table, the request's
+// scheduler holds the budget). Per-request state — the request's
 // cancellation snapshot and deadline, an optional per-request stats
-// record — lives in a solve scope (internal/solve.Scope) begun afresh
-// by every entry point. Scoping the hints fixes a real bug: hints used
-// to accumulate as a sticky maximum on the shared context, so a Solver
-// that once repaired a 100k-row table pre-sized every cold buffer of
-// every later 10-row solve at 100k rows — unbounded memory
-// amplification in precisely the multi-tenant, many-table setting the
-// Solver targets. A scope pre-sizes at the table actually being
-// solved; pooled buffers grown by big solves are still reused by small
-// ones, which costs nothing.
+// record — lives in a solve scope (internal/solve.Scope) that every
+// request gets afresh. Pooled buffers grown by big solves are reused
+// by small ones, which costs nothing; fresh scratch is sized at what
+// the current solve asks for, never at the largest table the Solver
+// has seen.
 //
 // On top of scopes sits the batch/stream entry point for many-table
 // traffic: Solver.SolveBatch runs a slice of (FDSet, Table, Algorithm)
@@ -156,13 +150,10 @@
 // scripts at workers 1/2/4/8 under -race). When the dirty fraction
 // exceeds a threshold (WithDirtyFallback, default 30%), when the FD
 // set changes (SetFDs), or on the first call, the session falls back
-// to a full solve and repopulates the cache. Sessions also feed the
-// live dictionary to the solver as a cardinality source (solve.Hints.
-// Cards), so scratch pre-sizing uses exact projection cardinalities
-// instead of worst-case estimates. WithImpactRecording makes every
-// Repair also produce an Impact report — violations per FD and cells
-// changed per block, before vs after — surfaced by the CLI's verify
-// subcommand.
+// to a full solve and repopulates the cache. WithImpactRecording makes
+// every Repair also produce an Impact report — violations per FD and
+// cells changed per block, before vs after — surfaced by the CLI's
+// verify subcommand.
 //
 // MarriageRep (Subroutine 3) runs on a sparse matching engine
 // (internal/graph.SparseMatcher): the marriage graph has exactly one

@@ -118,14 +118,13 @@ func WithApproxFallback(d time.Duration) BatchOption {
 // mixed-size batch keeps every worker busy without over-subscribing
 // the budget; on a serial Solver the batch runs sequentially.
 //
-// Each request executes under its own solve scope: its own size hints
-// (a 100-row request next to a 100k-row request pre-sizes scratch at
-// 100 rows, not 100k), its own deadline (WithRequestTimeout or
-// Request.Context) and its own error slot — one cancelled or failed
-// request never poisons the others. Results are byte-identical to
-// running each request alone, at any worker count. Scratch arenas are
-// still shared across the batch (that sharing is the point of
-// batching: buffers grown by one request are reused by the next).
+// Each request executes under its own solve scope: its own deadline
+// (WithRequestTimeout or Request.Context), its own stats and its own
+// error slot — one cancelled or failed request never poisons the
+// others. Results are byte-identical to running each request alone, at
+// any worker count. Scratch arenas are shared across the batch (that
+// sharing is the point of batching: buffers grown by one request are
+// reused by the next).
 func (s *Solver) SolveBatch(reqs []Request, opts ...BatchOption) []BatchResult {
 	var cfg batchConfig
 	for _, opt := range opts {

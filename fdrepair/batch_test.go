@@ -342,11 +342,11 @@ func TestStreamSubmitCloseRace(t *testing.T) {
 // measureSmallSolveBytes reports mean B/op of repeated small solves on
 // sv, forcing the solver's sync.Pool arenas empty before every solve
 // (two GCs clear both pool generations) so the measurement captures
-// what a cold solve freshly allocates — exactly where sticky oversized
-// hints used to bloat allocation. Measured by TotalAlloc deltas on a
-// single goroutine rather than testing.Benchmark, which would scale
-// its iteration count off the timed window and pay the untimed GCs
-// millions of times.
+// what a cold solve freshly allocates — exactly where scratch sized
+// for an earlier, larger solve would show. Measured by TotalAlloc
+// deltas on a single goroutine rather than testing.Benchmark, which
+// would scale its iteration count off the timed window and pay the
+// untimed GCs millions of times.
 func measureSmallSolveBytes(t *testing.T, sv *Solver, ds *FDSet, tab *Table) int64 {
 	t.Helper()
 	const iters = 10
@@ -365,12 +365,10 @@ func measureSmallSolveBytes(t *testing.T, sv *Solver, ds *FDSet, tab *Table) int
 	return int64(total / iters)
 }
 
-// TestStickyHintsRegression is the headline bugfix pin: on one reused
-// Solver, a small solve after a 102400-row solve must allocate within
-// 2× the B/op of the same small solve on a fresh Solver. Before
-// per-request solve scopes, the reused solver kept the 102400-row hint
-// forever and pre-sized every cold buffer at it (~MBs per small
-// solve).
+// TestStickyHintsRegression: on one reused Solver, a small solve after
+// a 102400-row solve must allocate within 2× the B/op of the same small
+// solve on a fresh Solver — fresh scratch is sized for the solve at
+// hand, never for an earlier, larger one.
 func TestStickyHintsRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 102400-row solve")

@@ -95,8 +95,7 @@
 // in the first chunk keeps it as its storage, and a larger one is
 // copied once into exact-size columns when ingestion ends. The
 // finished table carries its dictionary encoding, so the first solve
-// starts hot, and its exact per-attribute dictionary sizes size the
-// solve's scratch (solve.Hints), as they do for a Session.
+// starts hot.
 //
 // # Operating fdrepaird
 //
@@ -152,14 +151,6 @@
 // mechanically. Command fdlint (cmd/fdlint, analyzers in internal/lint)
 // checks them on every build; CI runs `fdlint ./...` beside gofmt, vet
 // and staticcheck. One analyzer per invariant:
-//
-//   - fdlint/scopeentry — one solve = one scope. Every exported entry
-//     point that takes a *solve.Ctx must call BeginSolve (directly or
-//     via a same-package delegate) before doing work, so size hints and
-//     arenas from the caller's previous solve cannot leak into this
-//     one. Guards against the sticky-hints regression the per-solve
-//     scopes PR fixed: a second solve on a reused context inheriting
-//     the first solve's (larger) buffer estimates.
 //
 //   - fdlint/arenapair — every arena acquisition (solve.Ctx's Int32s,
 //     Float64s, Int32Slices, GetScratch, ...) must be released on every

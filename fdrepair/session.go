@@ -316,11 +316,9 @@ func (s *Session) Repair() (*Table, float64, error) {
 		return rep, 0, nil
 	}
 
-	// One Repair = one solve scope with the same hints as the cold
-	// entry point: the session's live dictionary is the exact
-	// cardinality source for scratch presizing.
-	c := s.sv.ctx.BeginSolve()
-	c.SetHints(s.t.SolveHints())
+	// One Repair = one solve scope, so a failpoint poisoning this solve
+	// cannot outlive it.
+	c := s.sv.ctx.Scoped(nil, nil)
 
 	groups := s.t.RowGroups(s.partAttrs)
 	full := dirtyRows > int(s.fallbackFrac*float64(n)) || !s.primed

@@ -42,8 +42,8 @@ type SolveStats = solve.Snapshot
 // components become stealable tasks; a parent awaiting its blocks
 // helps execute pending work instead of parking), scratch arenas
 // sharded per scheduler worker over sync.Pool overflow (recycled
-// across recursion levels, matching components and sequential solves,
-// pre-sized from the input table's shape), an optional cancellation
+// across recursion levels, matching components and sequential solves),
+// an optional cancellation
 // context and an optional stats record. Construct with NewSolver; the
 // zero value is not usable.
 //

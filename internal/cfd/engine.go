@@ -80,14 +80,8 @@ func (u cfdUnit) edgesOf(buf [][2]int32) [][2]int32 {
 // row order), same edge order (lexicographic by endpoint pair), so the
 // cover solvers behave identically.
 func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (forced []int, g *graph.Graph, ids []int, err error) {
-	c = c.BeginSolve()
 	rows := t.Rows()
 	n := len(rows)
-	codes := t.DistinctEstimate()
-	if codes > n {
-		codes = n
-	}
-	c.SetHints(solve.Hints{Rows: n, Codes: codes})
 	c.Stats().CFDPattern(len(cs))
 
 	// Forced deletions: unary violators, in row order (matching the seed

@@ -410,9 +410,9 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 
 // cmdBatch repairs many CSV files as one batch on a single Solver:
 // the requests share the worker budget, scheduler and scratch arenas,
-// while each keeps its own solve scope (hints sized to its own table,
-// its own -timeout deadline, its own error). One failed or timed-out
-// file is reported and exits non-zero, but never stops the others.
+// while each keeps its own solve scope (its own -timeout deadline, its
+// own error). One failed or timed-out file is reported and exits
+// non-zero, but never stops the others.
 func cmdBatch(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("batch", stderr)
 	var ins fdFlags

@@ -116,10 +116,8 @@ func ConsistentAnswersCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, q *Query) (*
 	if q == nil {
 		return nil, fmt.Errorf("cqa: nil query")
 	}
-	c = c.BeginSolve()
 	rows := t.Rows()
 	n := len(rows)
-	c.SetHints(solve.Hints{Rows: n})
 
 	// Per-row query evaluation, once: filter match and projection key.
 	produced := make([]string, n) // "" = row fails the filters

@@ -330,8 +330,6 @@ func conflictPairs(c *solve.Ctx, cs []*Constraint, t *table.Table) ([][2]int32, 
 // chunk-parallel fallback replace the seed's quadratic parse-per-pair
 // scan. The edge list is identical to ConflictGraph's.
 func ConflictGraphCtx(c *solve.Ctx, cs []*Constraint, t *table.Table) ([]table.ConflictEdge, error) {
-	c = c.BeginSolve()
-	c.SetHints(solve.Hints{Rows: t.Len()})
 	pairs, err := conflictPairs(c, cs, t)
 	if err != nil {
 		return nil, err
@@ -348,8 +346,6 @@ func ConflictGraphCtx(c *solve.Ctx, cs []*Constraint, t *table.Table) ([]table.C
 // repairProblem (vertices are row positions, edges the sorted conflict
 // pairs) from the encoded conflict scan.
 func repairProblemCtx(c *solve.Ctx, cs []*Constraint, t *table.Table) (*graph.Graph, []int, error) {
-	c = c.BeginSolve()
-	c.SetHints(solve.Hints{Rows: t.Len()})
 	pairs, err := conflictPairs(c, cs, t)
 	if err != nil {
 		return nil, nil, err

@@ -640,44 +640,6 @@ type jvScratch struct {
 // jvKey pools jvScratch values on the solve context.
 type jvKey struct{}
 
-// newJVScratch builds a fresh scratch set, pre-sizing the CSR edge
-// arrays and per-node buffers from the context's size hints so the
-// first large component allocates at the high-water size instead of
-// climbing a grow-realloc ladder (subsequent components recycle the
-// grown buffers through the arena either way). The hints are scoped to
-// the current solve, so the pre-size is capped at the table actually
-// being repaired, not at the largest table the Ctx ever saw.
-func newJVScratch(ctx *solve.Ctx) *jvScratch {
-	scr := new(jvScratch)
-	h := ctx.Hints()
-	if h.Rows > 0 {
-		// Edge-indexed arrays: edges ≤ marriage blocks ≤ rows.
-		ecap := solve.RoundCap(h.Rows)
-		scr.adj = make([]locEdge, 0, ecap)
-		scr.flip = make([]locEdge, 0, ecap)
-	}
-	if h.Codes > 0 {
-		// Node-indexed arrays: component sides ≤ distinct codes.
-		ncap := solve.RoundCap(h.Codes + 1)
-		scr.deg = make([]int32, 0, ncap)
-		scr.fill = make([]int32, 0, ncap)
-		scr.pL = make([]float64, 0, ncap)
-		scr.pR = make([]float64, 0, ncap)
-		scr.pV = make([]float64, 0, ncap)
-		scr.dL = make([]float64, 0, ncap)
-		scr.dR = make([]float64, 0, ncap)
-		scr.dV = make([]float64, 0, ncap)
-		scr.mL = make([]int32, 0, ncap)
-		scr.mR = make([]int32, 0, ncap)
-		scr.eL = make([]int32, 0, ncap)
-		scr.parentR = make([]int32, 0, ncap)
-		scr.doneL = make([]bool, 0, ncap)
-		scr.doneR = make([]bool, 0, ncap)
-		scr.doneV = make([]bool, 0, ncap)
-	}
-	return scr
-}
-
 // jvCancelInterval is how many augmenting phases run between
 // cooperative cancellation checks inside the sparse solver, so one
 // very large component no longer runs to completion after the
@@ -708,7 +670,7 @@ const jvCancelInterval = 32
 func solveSparse(c component, ctx *solve.Ctx) ([]int32, error) {
 	scr, _ := ctx.GetScratch(jvKey{}).(*jvScratch)
 	if scr == nil {
-		scr = newJVScratch(ctx)
+		scr = new(jvScratch)
 	}
 	defer ctx.PutScratch(jvKey{}, scr)
 	if c.nR < c.nL {

@@ -7,12 +7,10 @@ import "sync/atomic"
 
 type Ctx struct{ stats Stats }
 
-func (c *Ctx) BeginSolve() *Ctx                                   { return c }
 func (c *Ctx) Err() error                                         { return nil }
 func (c *Ctx) Workers() int                                       { return 1 }
 func (c *Ctx) Stats() *Stats                                      { return &c.stats }
 func (c *Ctx) Scoped() *Ctx                                       { return c }
-func (c *Ctx) SetHints(rows, codes int)                           {}
 func (c *Ctx) ForEachBlock(n int, fn func(*Ctx, int) error) error { return nil }
 
 func (c *Ctx) GetScratch(key any) any      { return nil }

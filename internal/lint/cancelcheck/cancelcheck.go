@@ -36,8 +36,7 @@ var Analyzer = &analysis.Analyzer{
 // cheapCtxMethods neither do per-iteration work nor poll: handing the
 // Ctx to them does not make a loop heavy.
 var cheapCtxMethods = map[string]bool{
-	"SetHints": true, "Hints": true, "Workers": true, "Stats": true,
-	"ProjectionCard": true, "Base": true, "Scoped": true, "BeginSolve": true,
+	"Workers": true, "Stats": true, "Base": true, "Scoped": true,
 	"GetScratch": true, "PutScratch": true,
 	"Int32s": true, "PutInt32s": true, "Int32Slices": true, "PutInt32Slices": true,
 	"Float64s": true, "PutFloat64s": true,

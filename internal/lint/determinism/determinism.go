@@ -5,7 +5,7 @@
 //
 //   - wall clocks: time.Now, Since, Until, After, Tick, NewTimer,
 //     NewTicker, Sleep — scheduling-visible time has no place between
-//     BeginSolve and the result rows;
+//     the input table and the result rows;
 //   - ambient randomness: the package-level math/rand and math/rand/v2
 //     functions (process-seeded; a deterministic *rand.Rand built from
 //     an explicit seed is fine);

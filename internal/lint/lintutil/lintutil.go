@@ -38,17 +38,6 @@ var solvePath = map[string]bool{
 	"repro/fdrepair":           true,
 }
 
-// EntryPkgs lists the packages whose exported Ctx-taking functions are
-// solve entry points and must begin a fresh scope (scopeentry).
-var EntryPkgs = map[string]bool{
-	"repro/internal/srepair":  true,
-	"repro/internal/urepair":  true,
-	"repro/internal/cfd":      true,
-	"repro/internal/denial":   true,
-	"repro/internal/cqa":      true,
-	"repro/internal/priority": true,
-}
-
 // OnSolvePath reports whether the pass's package carries the solve-path
 // determinism and cancellation invariants.
 func OnSolvePath(pass *analysis.Pass) bool {

@@ -4,11 +4,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-
 	"repro/internal/lint"
 	"repro/internal/lint/driver"
-	"repro/internal/lint/scopeentry"
 )
 
 // TestRepoSweepClean runs the full fdlint suite over the repository and
@@ -27,32 +24,6 @@ func TestRepoSweepClean(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	diags, err := driver.Run(pkgs, lint.Analyzers())
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("finding: %s", d)
-	}
-}
-
-// TestSRepairEntryPointsBeginSolve pins a fixed finding: the first
-// repo sweep flagged srepair.ExactCtx and srepair.Approx2Ctx for
-// skipping BeginSolve, so a caller's previous solve's size hints leaked
-// into the cover search (the PR 5 sticky-hints shape). Both now begin a
-// fresh scope; this test keeps the package scopeentry-clean.
-func TestSRepairEntryPointsBeginSolve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks part of the repository")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := driver.Load(root, []string{"./internal/srepair"})
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	diags, err := driver.Run(pkgs, []*analysis.Analyzer{scopeentry.Analyzer})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -79,10 +79,8 @@ func (r *Relation) validateAgainst(edges []table.ConflictEdge, t *table.Table) e
 // on the context's scheduler, and the result is byte-identical to
 // CRepair — same accepted tuples, same insertion order.
 func CRepairCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, r *Relation) (*table.Table, error) {
-	c = c.BeginSolve()
 	rows := t.Rows()
 	n := len(rows)
-	c.SetHints(solve.Hints{Rows: n})
 
 	edges := t.ConflictGraph(ds)
 	if err := r.validateAgainst(edges, t); err != nil {

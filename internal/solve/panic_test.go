@@ -103,13 +103,13 @@ func TestNestedPanicAtDepth(t *testing.T) {
 func TestFailpointCancelMidRecursion(t *testing.T) {
 	defer failpoint.DisableAll()
 	failpoint.Enable(failpoint.CancelMidRecursion, failpoint.Spec{After: 4, Count: 1})
-	c := New(4, nil, nil).BeginSolve()
-	err := c.ForEachBlock(64, big, func(c *Ctx, i int) error { return nil })
+	base := New(4, nil, nil)
+	err := base.Scoped(nil, nil).ForEachBlock(64, big, func(c *Ctx, i int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	failpoint.DisableAll()
-	if err := c.BeginSolve().ForEachBlock(8, big, func(c *Ctx, i int) error { return nil }); err != nil {
+	if err := base.Scoped(nil, nil).ForEachBlock(8, big, func(c *Ctx, i int) error { return nil }); err != nil {
 		t.Fatalf("fresh scope after poison: %v", err)
 	}
 }

@@ -1,34 +1,23 @@
 // Per-request solve scopes.
 //
-// A Ctx used to carry one flat bag of state; anything written to it —
-// size hints in particular — outlived the solve that wrote it. SetHints
-// kept the atomic maximum of every hint ever seen, so a long-lived
-// Solver that once repaired a 100k-row table pre-sized group-by,
-// edge-list and CSR scratch at 100k rows for every later 10-row solve:
-// unbounded memory amplification in exactly the multi-tenant,
-// many-table setting the Solver API advertises.
-//
-// The state is therefore split in two:
+// A Ctx's state is split along lifetimes:
 //
 //   - solver-lifetime state stays on shared (solve.go): the worker
 //     budget and scheduler, the arena pools (whose buffers deliberately
 //     converge on high-water sizes across solves — reusing a big pooled
-//     buffer for a small solve is free; freshly allocating a big buffer
-//     for a small solve is the bug), and the solver's aggregate stats
-//     sink;
-//   - per-request state lives on a Scope: the size hints of the one
-//     table being solved, the request's cancellation snapshot (context
-//     plus predecoded done channel, typically deadline-derived), and an
-//     optional per-request stats override.
+//     buffer for a small solve is free), and the solver's aggregate
+//     stats sink;
+//   - per-request state lives on a Scope: the request's cancellation
+//     snapshot (context plus predecoded done channel, typically
+//     deadline-derived), an optional per-request stats override, and
+//     any failpoint poison injected into the request.
 //
-// Every top-level entry point (srepair.OptSRepairCtx, urepair.RepairCtx)
-// calls BeginSolve, so hints can never leak between solves no matter
-// how the caller reuses its Ctx. Batch entry points call Scoped to give
-// each request its own deadline and stats while running all requests as
-// tasks on the one shared scheduler; the scheduler threads the scope
-// through its joins and tasks, so concurrently interleaved requests
-// keep their own hints, cancellation and counters even when their
-// blocks execute on (or are stolen by) the same workers.
+// Batch entry points call Scoped to give each request its own deadline
+// and stats while running all requests as tasks on the one shared
+// scheduler; the scheduler threads the scope through its joins and
+// tasks, so concurrently interleaved requests keep their own
+// cancellation and counters even when their blocks execute on (or are
+// stolen by) the same workers.
 package solve
 
 import (
@@ -36,21 +25,10 @@ import (
 	"sync/atomic"
 )
 
-// Scope is the per-request half of a Ctx: size hints scoped to one
-// solve, the request's cancellation snapshot, and an optional stats
-// override. A nil *Scope is valid and means "no hints, non-cancellable,
-// no stats override".
+// Scope is the per-request half of a Ctx: the request's cancellation
+// snapshot and an optional stats override. A nil *Scope is valid and
+// means "non-cancellable, no stats override".
 type Scope struct {
-	// Scratch-presizing hints. Atomic max within one scope (many
-	// goroutines of one solve may consult them); a nested entry point
-	// (the U-repair planner invoking S-repair solves) begins its own
-	// fresh scope via BeginSolve and re-records its own table's shape,
-	// so hints never propagate between entry points in either
-	// direction.
-	hintRows  atomic.Int64
-	hintCodes atomic.Int64
-	cards     atomic.Pointer[CardSource] // exact per-projection counts; nil = none
-
 	done  <-chan struct{} // cancellation signal; nil = non-cancellable
 	cctx  context.Context // source of done, for Err()
 	stats *Stats          // per-request sink; nil = use the solver's
@@ -127,23 +105,4 @@ func (c *Ctx) Scoped(cctx context.Context, stats *Stats) *Ctx {
 		cctx = c.s.base
 	}
 	return &Ctx{s: c.s, sc: newScope(cctx, stats), w: c.w}
-}
-
-// BeginSolve returns a Ctx for one top-level solve: same solver state,
-// same cancellation and stats routing as c, fresh hints. The entry
-// points (srepair.OptSRepairCtx, urepair.RepairCtx) call it before
-// recording the input table's shape, so hints are scoped to that one
-// solve — a Ctx reused across tables of wildly different sizes no
-// longer pre-sizes small solves at the largest table ever seen.
-func (c *Ctx) BeginSolve() *Ctx {
-	if c == nil || c.s == nil {
-		return c
-	}
-	sc := &Scope{}
-	if old := c.sc; old != nil {
-		sc.done = old.done
-		sc.cctx = old.cctx
-		sc.stats = old.stats
-	}
-	return &Ctx{s: c.s, sc: sc, w: c.w}
 }

@@ -19,9 +19,6 @@
 //   - cooperative cancellation: an optional context.Context checked at
 //     task dispatch, recursion and component boundaries, so a
 //     deadline-exceeded solve returns promptly instead of burning CPU;
-//   - size hints from the input table (row count, distinct-code
-//     estimate) that pre-size scratch on first use, eliminating the
-//     grow-realloc ladder of a cold first solve;
 //   - an optional Stats record (recursion nodes, tasks inline /
 //     executed / stolen, matcher path hits, U-repair planner
 //     decisions, arena reuse).
@@ -37,8 +34,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/schema"
 )
 
 // Ctx is the per-solve context. The zero value is not useful; construct
@@ -48,13 +43,13 @@ import (
 // the more solves share it.
 //
 // A Ctx value is three words: the solver-lifetime shared state, the
-// per-request scope (scope.go: hints, cancellation snapshot, optional
-// stats override), plus an optional binding to the scheduler worker
+// per-request scope (scope.go: cancellation snapshot, optional stats
+// override), plus an optional binding to the scheduler worker
 // executing the current task. ForEachBlock hands every block a
 // worker-bound Ctx carrying the block's scope, so the arena getters
 // below transparently hit the executing worker's private shard and
-// cancellation/hints stay those of the block's own request; code simply
-// threads whatever *Ctx it was given.
+// cancellation and stats stay those of the block's own request; code
+// simply threads whatever *Ctx it was given.
 type Ctx struct {
 	s  *shared
 	sc *Scope
@@ -85,9 +80,8 @@ type shared struct {
 // New builds a context with the given worker budget (n ≤ 1 clamps to
 // serial), cancellation source (nil means non-cancellable) and stats
 // sink (nil means stats are not collected). The returned Ctx carries a
-// root scope bound to cctx; the entry points begin a fresh scope per
-// solve on top of it (BeginSolve), and batch layers derive per-request
-// scopes with Scoped.
+// root scope bound to cctx; batch layers derive per-request scopes
+// with Scoped.
 func New(workers int, cctx context.Context, stats *Stats) *Ctx {
 	sh := &shared{workers: 1, base: cctx, stats: stats}
 	if workers > 1 {
@@ -138,104 +132,6 @@ var defaultCtx = New(1, nil, nil)
 // convenience wrappers (srepair.OptSRepair, urepair.Repair, ...) and
 // by fdrepair's package-level functions.
 func Default() *Ctx { return defaultCtx }
-
-// ---- Size hints ----
-
-// Hints carries scratch-presizing estimates for one solve: Rows is the
-// input row count (bounds group buckets, block result lists, marriage
-// edge lists and CSR edge arrays), Codes the largest distinct-code
-// count of any projection (bounds code→local translation tables and
-// per-node matching arrays). Zero fields mean "unknown".
-//
-// Cards, when non-nil, is a per-projection cardinality source — the
-// table's live dictionary encoding (table.ProjectionCardinality, which
-// table.SolveHints passes) — that refines the single worst-case Codes
-// bound with the code-space size of the one projection a consumer is
-// about to materialize. The algorithms query it through
-// Ctx.ProjectionCard and use the answers only for scratch pre-sizing,
-// so an answer that is off costs one slice growth, never correctness.
-type Hints struct {
-	Rows, Codes int
-	Cards       CardSource
-}
-
-// CardSource reports a distinct-count bound for the projection onto
-// attrs, when one is available. Answers feed capacity pre-sizing only;
-// implementations must be safe for concurrent use and cheap (the solve
-// hot paths consult them per block step).
-type CardSource func(attrs schema.AttrSet) (int, bool)
-
-// SetHints records size hints on the current scope, keeping the
-// maximum of every hint seen within that scope (nested entry points —
-// the U-repair planner running S-repair solves — describe the same
-// request). The entry points call it with the input table's shape; the
-// arenas consult the hints when creating fresh scratch, so the first
-// solve allocates at the high-water size instead of climbing a
-// grow-realloc ladder.
-//
-// Because every entry point begins a fresh scope (BeginSolve), hints
-// never outlive their request: fresh scratch is capped at the current
-// table's shape, never at the largest table the solver ever saw.
-func (c *Ctx) SetHints(h Hints) {
-	if c == nil || c.sc == nil {
-		return
-	}
-	atomicMax(&c.sc.hintRows, int64(h.Rows))
-	atomicMax(&c.sc.hintCodes, int64(h.Codes))
-	if h.Cards != nil {
-		c.sc.cards.Store(&h.Cards)
-	}
-}
-
-// Hints returns the current scope's hints (zero when none were set).
-func (c *Ctx) Hints() Hints {
-	if c == nil || c.sc == nil {
-		return Hints{}
-	}
-	h := Hints{
-		Rows:  int(c.sc.hintRows.Load()),
-		Codes: int(c.sc.hintCodes.Load()),
-	}
-	if p := c.sc.cards.Load(); p != nil {
-		h.Cards = *p
-	}
-	return h
-}
-
-// ProjectionCard returns the best available bound on the distinct
-// count of the projection onto attrs: the scope's exact cardinality
-// source when one answers, otherwise the fallback the caller derived
-// from the coarse hints. Either way the result is clamped to the
-// scope's row-count hint when one is set — no projection of an n-row
-// table has more than n distinct values, and a resident session's
-// dictionary retains vanished values, so its raw counts can exceed the
-// live table.
-func (c *Ctx) ProjectionCard(attrs schema.AttrSet, fallback int) int {
-	card := fallback
-	if c != nil && c.sc != nil {
-		if p := c.sc.cards.Load(); p != nil {
-			if exact, ok := (*p)(attrs); ok {
-				card = exact
-			}
-		}
-		if rows := int(c.sc.hintRows.Load()); rows > 0 && card > rows {
-			card = rows
-		}
-	}
-	return card
-}
-
-func atomicMax(a *atomic.Int64, v int64) {
-	if v <= 0 {
-		return
-	}
-	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
 
 // ---- Scratch arenas ----
 //
@@ -296,11 +192,6 @@ func ceilPow2(n int) int {
 	}
 	return 1 << bits.Len(uint(n-1))
 }
-
-// RoundCap is the arena's capacity-rounding rule (next power of two,
-// minimum 8), exported so packages pre-sizing their own scratch from
-// Hints allocate the same converged sizes the pools would.
-func RoundCap(n int) int { return ceilPow2(n) }
 
 // Grow returns a slice of length n over s's storage, allocating (with
 // power-of-two capacity, so pooled buffers converge on a high-water
@@ -567,6 +458,19 @@ func (s *Stats) Planner(kind PlannerPath, fds int) {
 		s.PlannerApprox.Add(1)
 	}
 	atomicMax(&s.PlannerMaxCompFDs, int64(fds))
+}
+
+// atomicMax raises a to v when v is larger (the high-water counters).
+func atomicMax(a *atomic.Int64, v int64) {
+	if v <= 0 {
+		return
+	}
+	for {
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
+			return
+		}
+	}
 }
 
 // PlannerConsensusApplied counts one consensus-elimination phase that

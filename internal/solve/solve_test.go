@@ -192,47 +192,14 @@ func TestSerialCancelBetweenBlocks(t *testing.T) {
 	}
 }
 
-// TestScopeIsolatesHints pins the sticky-hints bugfix at the solve
-// layer: hints recorded inside one solve scope are invisible to sibling
-// and later scopes, so a solver that once saw a huge table no longer
-// pre-sizes every later small solve at that table's shape. Within one
-// scope the atomic-max behavior is retained (nested entry points).
-func TestScopeIsolatesHints(t *testing.T) {
-	c := New(1, nil, nil)
-	big := c.BeginSolve()
-	big.SetHints(Hints{Rows: 102400, Codes: 50000})
-	if h := big.Hints(); h.Rows != 102400 {
-		t.Fatalf("big scope hints = %+v", h)
-	}
-	// The root ctx and a later solve scope must not see the big solve.
-	if h := c.Hints(); h.Rows != 0 || h.Codes != 0 {
-		t.Fatalf("hints leaked to the root ctx: %+v", h)
-	}
-	small := c.BeginSolve()
-	if h := small.Hints(); h.Rows != 0 || h.Codes != 0 {
-		t.Fatalf("hints leaked across scopes: %+v", h)
-	}
-	small.SetHints(Hints{Rows: 10, Codes: 4})
-	if h := small.Hints(); h.Rows != 10 || h.Codes != 4 {
-		t.Fatalf("small scope hints = %+v", h)
-	}
-	if h := big.Hints(); h.Rows != 102400 {
-		t.Fatalf("sibling scope clobbered: %+v", h)
-	}
-	// Nil safety.
-	var nilCtx *Ctx
-	if nilCtx.BeginSolve() != nil {
-		t.Fatal("nil ctx BeginSolve")
-	}
-	if nilCtx.Scoped(nil, nil) != nil {
-		t.Fatal("nil ctx Scoped")
-	}
-}
-
 // TestScopedCancellationAndStats: a Scoped ctx carries its own
 // cancellation and stats sink; the parent ctx is unaffected, and a
 // cancelled request does not cancel its siblings.
 func TestScopedCancellationAndStats(t *testing.T) {
+	var nilCtx *Ctx
+	if nilCtx.Scoped(nil, nil) != nil {
+		t.Fatal("nil ctx Scoped")
+	}
 	base := New(4, nil, nil)
 	cctx, cancel := context.WithCancel(context.Background())
 	st := new(Stats)
@@ -269,9 +236,9 @@ func TestScopedCancellationAndStats(t *testing.T) {
 }
 
 // TestInterleavedScopesOnOneScheduler runs many concurrent requests —
-// each under its own scope with its own hints and stats — over one
-// shared scheduler, and checks that every request's counters land in
-// its own sink and its hints stay its own. This is the admission shape
+// each under its own scope with its own stats sink — over one shared
+// scheduler, and checks that every block sees its own request's sink
+// and every request's counters land there. This is the admission shape
 // SolveBatch uses.
 func TestInterleavedScopesOnOneScheduler(t *testing.T) {
 	base := New(4, nil, nil)
@@ -286,13 +253,12 @@ func TestInterleavedScopesOnOneScheduler(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := base.Scoped(context.Background(), stats[r])
-			c.SetHints(Hints{Rows: 100 * (r + 1)})
 			blocks := 3 + r%4
 			err := c.ForEachBlock(blocks, func(int) int { return 1000 }, func(wc *Ctx, i int) error {
 				// The worker-bound ctx handed to the block must carry the
 				// request's scope, not a neighbor's.
-				if h := wc.Hints(); h.Rows != 100*(r+1) {
-					return fmt.Errorf("request %d block %d sees hints %+v", r, i, h)
+				if wc.Stats() != stats[r] {
+					return fmt.Errorf("request %d block %d reports into another request's stats sink", r, i)
 				}
 				return nil
 			})
@@ -310,23 +276,6 @@ func TestInterleavedScopesOnOneScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: %v", r, err)
 		}
-	}
-}
-
-func TestHintsAtomicMaxAndNilSafety(t *testing.T) {
-	var nilCtx *Ctx
-	nilCtx.SetHints(Hints{Rows: 10, Codes: 10})
-	if h := nilCtx.Hints(); h.Rows != 0 || h.Codes != 0 || h.Cards != nil {
-		t.Fatalf("nil ctx hints = %+v", h)
-	}
-	c := New(1, nil, nil)
-	if h := c.Hints(); h.Rows != 0 || h.Codes != 0 || h.Cards != nil {
-		t.Fatalf("fresh ctx hints = %+v", h)
-	}
-	c.SetHints(Hints{Rows: 100, Codes: 40})
-	c.SetHints(Hints{Rows: 50, Codes: 90}) // max per field, not last-wins
-	if h := c.Hints(); h.Rows != 100 || h.Codes != 90 {
-		t.Fatalf("hints = %+v, want {100 90}", h)
 	}
 }
 

@@ -166,7 +166,7 @@ func (bs *BlockSolver) Combine(c *solve.Ctx, t *table.Table, groups, reps [][]in
 			v1Index.add(codes1[grp[0]])
 			v2Index.add(codes2[grp[0]])
 		}
-		edges := getEdges(c, len(groups), c.ProjectionCard(st.X1.Union(st.X2), c.Hints().Rows))
+		edges := getEdges(c, len(groups))
 		defer putEdges(c, edges)
 		for gi, grp := range groups {
 			first := grp[0]

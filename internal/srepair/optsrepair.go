@@ -68,11 +68,6 @@ func OptSRepairCtx(c *solve.Ctx, ds *fd.Set, t *table.Table) (*table.Table, erro
 		// Line 1–2: Δ is trivial, T is its own optimal S-repair.
 		return t, nil
 	}
-	// One solve = one scope: the hints describe this table only, so a
-	// Ctx reused across tables of different sizes never pre-sizes a
-	// small solve's fresh scratch at a bigger table's shape.
-	c = c.BeginSolve()
-	c.SetHints(t.SolveHints())
 	sv := solver{steps: steps, c: c}
 	keep, err := sv.solve(table.NewView(t), 0)
 	if err != nil {
@@ -238,10 +233,8 @@ func (s solver) marriageRep(st fd.Simplification, v table.View, depth int) ([]in
 	defer s.c.PutInt32Slices(reps)
 	// Edge gi joins the block's X1-node to its X2-node, weighted by the
 	// block's optimal S-repair; distinct blocks have distinct endpoint
-	// pairs, so edge indices and group indices coincide. A session's
-	// exact cardinality source bounds fresh edge scratch at the real
-	// block count instead of the row count.
-	edges := getEdges(s.c, len(g.Groups), s.c.ProjectionCard(st.X1.Union(st.X2), s.c.Hints().Rows))
+	// pairs, so edge indices and group indices coincide.
+	edges := getEdges(s.c, len(g.Groups))
 	defer putEdges(s.c, edges)
 	for gi, grp := range g.Groups {
 		first := grp[0]
@@ -276,19 +269,12 @@ func (s solver) marriageRep(st fd.Simplification, v table.View, depth int) ([]in
 // recursion node actually running Subroutine 3.
 type edgeKey struct{}
 
-func getEdges(c *solve.Ctx, n, capHint int) []graph.Edge {
+func getEdges(c *solve.Ctx, n int) []graph.Edge {
+	var s []graph.Edge
 	if v := c.GetScratch(edgeKey{}); v != nil {
-		return solve.Grow(*v.(*[]graph.Edge), n)
+		s = *v.(*[]graph.Edge)
 	}
-	// Fresh list: pre-size at the caller's cardinality bound (edges ≤
-	// blocks, and blocks ≤ rows when nothing better is known), so the
-	// first solve skips the grow-realloc ladder. The bound comes from
-	// the per-solve scope, so it reflects this table only — never the
-	// sticky maximum of a previous, larger solve.
-	if capHint > n {
-		return make([]graph.Edge, n, solve.RoundCap(capHint))
-	}
-	return solve.Grow[graph.Edge](nil, n)
+	return solve.Grow(s, n)
 }
 
 func putEdges(c *solve.Ctx, s []graph.Edge) {
@@ -427,9 +413,6 @@ func ExactCtx(c *solve.Ctx, ds *fd.Set, t *table.Table) (*table.Table, error) {
 	if !ds.Schema().SameAs(t.Schema()) {
 		return nil, fmt.Errorf("srepair: FD set and table have different schemas")
 	}
-	// Fresh per-solve scope: without it the cover search would pre-size
-	// its scratch from whatever solve this Ctx ran last.
-	c = c.BeginSolve()
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
@@ -456,8 +439,6 @@ func Approx2Ctx(c *solve.Ctx, ds *fd.Set, t *table.Table) (*table.Table, error) 
 	if !ds.Schema().SameAs(t.Schema()) {
 		return nil, fmt.Errorf("srepair: FD set and table have different schemas")
 	}
-	// Fresh per-solve scope, as in OptSRepairCtx and ExactCtx.
-	c = c.BeginSolve()
 	if err := c.Err(); err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/schema"
-	"repro/internal/solve"
 )
 
 // The dictionary encoding turns every column into a dense []int32 of
@@ -401,75 +400,6 @@ func (t *Table) ProjectionCodes(attrs schema.AttrSet) (codes []int32, groups int
 // treated as read-only, and are invalidated by any table mutation.
 func (t *Table) RowGroups(attrs schema.AttrSet) [][]int32 {
 	return t.grouping(t.projection(attrs)).buckets
-}
-
-// ProjectionCardinality returns the exact code-space bound of the
-// projection onto attrs from the live encoding snapshot, without
-// forcing a build: the dictionary size for a single attribute, the
-// group bound for a cached projection, 1 for the empty set. ok is false
-// when the snapshot has not encoded attrs yet. SolveHints feeds this
-// to solve.Hints as the cardinality source, replacing the
-// DistinctEstimate guess with the dictionary's real counts.
-func (t *Table) ProjectionCardinality(attrs schema.AttrSet) (card int, ok bool) {
-	e := t.enc.Load()
-	if e == nil {
-		return 0, false
-	}
-	if p, okp := e.proj[attrs]; okp {
-		return p.groups, true
-	}
-	pos := attrs.Positions()
-	switch len(pos) {
-	case 0:
-		return 1, true
-	case 1:
-		if e.cols[pos[0]] != nil {
-			return e.card[pos[0]], true
-		}
-	}
-	return 0, false
-}
-
-// DistinctEstimate estimates the largest distinct-code count any
-// projection of the table will produce, for pre-sizing solve scratch
-// (solve.Hints). It reads the already-built encoding snapshot — the
-// max over built column dictionaries and projection group counts —
-// and falls back to the row count (a hard upper bound on any distinct
-// count) when the encoding is cold. Never forces an encoding build.
-// Dictionaries of an incrementally mutated table retain vanished
-// values, so the estimate can exceed the row count; entry points clamp
-// it to the current table's length when recording hints.
-func (t *Table) DistinctEstimate() int {
-	e := t.enc.Load()
-	if e == nil {
-		return len(t.rows)
-	}
-	best := 0
-	for _, card := range e.card {
-		if card > best {
-			best = card
-		}
-	}
-	for _, p := range e.proj {
-		if p.groups > best {
-			best = p.groups
-		}
-	}
-	if best == 0 {
-		return len(t.rows)
-	}
-	return best
-}
-
-// SolveHints sizes a solve's scratch from the table's shape: its row
-// count, its distinct-count estimate clamped to the row count (the
-// dictionary of an incrementally mutated table retains vanished values,
-// so the raw estimate can exceed any projection's live distinct count),
-// and the live encoding's exact per-projection counts as the
-// cardinality source. Whole-table solves and sessions share it.
-func (t *Table) SolveHints() solve.Hints {
-	n := t.Len()
-	return solve.Hints{Rows: n, Codes: min(t.DistinctEstimate(), n), Cards: t.ProjectionCardinality}
 }
 
 // IndexOf returns the position of the identifier in insertion order

@@ -20,9 +20,8 @@ package table
 //   - rowGroups is always the canonical grouping: no empty buckets,
 //     buckets ordered by first row index, rows ascending within each;
 //   - dictionaries only grow; vanished values keep their codes, so the
-//     code space (and DistinctEstimate) can exceed the live distinct
-//     count — consumers use rowGroups for live counts and groups only
-//     as an array bound.
+//     code space can exceed the live distinct count — consumers use
+//     rowGroups for live counts and groups only as an array bound.
 
 import (
 	"fmt"

@@ -154,21 +154,14 @@ func TestIncrementalColdEncoding(t *testing.T) {
 }
 
 // TestDirtyDictionaryEstimateAndCardinality: after updates erase a
-// value's last carrier, the dictionary retains it — DistinctEstimate
-// may exceed live counts (callers clamp), while ProjectionCardinality
-// reports the snapshot's exact bound without forcing builds.
+// value's last carrier, the dictionary retains it — the projection's
+// code space keeps every value ever seen, while the live grouping
+// counts only the values rows still carry.
 func TestDirtyDictionaryEstimateAndCardinality(t *testing.T) {
 	sc := schema.MustNew("R", "A", "B")
 	tab := New(sc)
 	tab.MustAppendRows([]Tuple{{"a1", "b1"}, {"a2", "b2"}, {"a3", "b3"}}, nil)
-
-	if _, ok := tab.ProjectionCardinality(schema.Singleton(0)); ok {
-		t.Fatal("cold encoding must not report a cardinality")
-	}
 	tab.RowGroups(schema.Singleton(0))
-	if card, ok := tab.ProjectionCardinality(schema.Singleton(0)); !ok || card != 3 {
-		t.Fatalf("cardinality of A = %d,%v; want 3", card, ok)
-	}
 
 	// Collapse every A value onto a fresh one: dictionary now holds 4
 	// codes, but only one is live.
@@ -179,11 +172,8 @@ func TestDirtyDictionaryEstimateAndCardinality(t *testing.T) {
 	if err := tab.SetCellsIncremental(updates); err != nil {
 		t.Fatal(err)
 	}
-	if card, _ := tab.ProjectionCardinality(schema.Singleton(0)); card != 4 {
-		t.Fatalf("retained dictionary bound = %d; want 4", card)
-	}
-	if est := tab.DistinctEstimate(); est < 4 {
-		t.Fatalf("estimate %d must reflect the retained dictionary", est)
+	if _, bound := tab.ProjectionCodes(schema.Singleton(0)); bound != 4 {
+		t.Fatalf("retained dictionary bound = %d; want 4", bound)
 	}
 	if got := len(tab.RowGroups(schema.Singleton(0))); got != 1 {
 		t.Fatalf("live groups = %d; want 1", got)

@@ -366,47 +366,6 @@ func TestIngestAllocBound(t *testing.T) {
 	}
 }
 
-// TestSolveHintsFromEncoding pins the one hint source of whole-table
-// solves and sessions: the row count, the distinct estimate clamped to
-// it, and the live encoding's exact counts as the cardinality source.
-func TestSolveHintsFromEncoding(t *testing.T) {
-	tab, err := IngestCSV(strings.NewReader(chunkEdgeCSV(100, 0, 0)), "R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := tab.SolveHints()
-	if h.Rows != 100 || h.Codes != 100 {
-		t.Fatalf("hints Rows=%d Codes=%d, want 100 and 100", h.Rows, h.Codes)
-	}
-	if card, ok := h.Cards(schema.Singleton(0)); !ok || card != 13 {
-		t.Fatalf("Cards(A) = %d, %v; want exact 13", card, ok)
-	}
-
-	// Recoding every C cell doubles C's dictionary; Codes stays clamped
-	// to the row count.
-	var updates []CellUpdate
-	for _, id := range tab.IDs() {
-		updates = append(updates, CellUpdate{ID: id, Attr: 2, Val: fmt.Sprintf("c%d", id+5000)})
-	}
-	if err := tab.SetCellsIncremental(updates); err != nil {
-		t.Fatal(err)
-	}
-	if est := tab.DistinctEstimate(); est != 200 {
-		t.Fatalf("DistinctEstimate = %d, want the retained 200", est)
-	}
-	if h := tab.SolveHints(); h.Codes != 100 {
-		t.Fatalf("Codes = %d, want the row count 100", h.Codes)
-	}
-
-	// A plain mutation drops the encoding: no exact counts remain.
-	if err := tab.Insert(1, Tuple{"a", "b", "c"}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tab.SolveHints().Cards(schema.Singleton(0)); ok {
-		t.Fatal("Cards answered from a dropped encoding")
-	}
-}
-
 // TestChunkedBuilderBoundaries drives the builder across chunk
 // boundaries and through the duplicate-id fallback.
 func TestChunkedBuilderBoundaries(t *testing.T) {

@@ -78,10 +78,6 @@ func RepairCtx(c *solve.Ctx, ds *fd.Set, t *table.Table) (Result, error) {
 // with index-ordered cost summation) keeps the result byte-identical
 // to the serial planner at any worker count.
 func repairFull(c *solve.Ctx, ds *fd.Set, t *table.Table) (Result, error) {
-	// One solve = one scope (the inner S-repair solves run over the same
-	// table, so their nested BeginSolve records the same shape).
-	c = c.BeginSolve()
-	c.SetHints(t.SolveHints())
 	u := t.Clone()
 	var cost float64
 	exact := true
