@@ -143,21 +143,21 @@
 // so only dirty blocks are re-solved (as tasks on the Solver's
 // work-stealing scheduler, under a fresh per-request solve.Scope) and
 // clean blocks splice their cached result in. The root combine —
-// union, heaviest block, or marriage matching — is replayed over the
-// mix of cached and fresh block repairs in block order, so the output
-// is byte-identical to a from-scratch solve at any worker count
-// (pinned by a differential test suite running randomized mutation
-// scripts at workers 1/2/4/8 under -race). When the dirty fraction
-// exceeds a threshold (WithDirtyFallback, default 30%), when the FD
-// set changes (SetFDs), or on the first call, the session falls back
-// to a full solve and repopulates the cache. WithImpactRecording makes
-// every Repair also produce an Impact report — violations per FD and
-// cells changed per block, before vs after — surfaced by the CLI's
-// verify subcommand.
+// union, heaviest block, or marriage matching — then runs over the mix
+// of cached and fresh block repairs in block order. It is the same
+// combine function every node of a cold solve's recursion calls, so
+// the output is byte-identical to a from-scratch solve at any worker
+// count (pinned by a differential test suite running randomized
+// mutation scripts at workers 1/2/4/8 under -race). When more than 30%
+// of the rows are dirty, when the FD set changes (SetFDs), or on the
+// first call, the session falls back to a full solve and repopulates
+// the cache. WithImpactRecording makes every Repair also produce an
+// Impact report — violations per FD and cells changed per block,
+// before vs after — surfaced by the CLI's verify subcommand.
 //
 // MarriageRep (Subroutine 3) runs on a sparse matching engine
 // (internal/graph.SparseMatcher): the marriage graph has exactly one
-// edge per observed (X1, X2) block, so marriageRep emits that edge list
+// edge per observed (X1, X2) block, so its combine emits that edge list
 // directly and the engine decomposes it into connected components
 // (solved independently, and in parallel on the same worker budget as
 // the repair blocks), dispatching each to a fast path — singleton edges

@@ -28,10 +28,9 @@ import (
 //     cached repairs of clean blocks into the combine step.
 //
 // The output is byte-identical to a from-scratch solve of the current
-// table at every step. When the dirty fraction exceeds the fallback
-// threshold (WithDirtyFallback), the FD set changes (SetFDs), or no
-// previous solve exists, Repair runs all blocks — still seeding the
-// block cache for the next round.
+// table at every step. When more than 30% of the rows are dirty, the
+// FD set changes (SetFDs), or no previous solve exists, Repair runs all
+// blocks — still seeding the block cache for the next round.
 //
 // A Session is a single-client handle: its methods must not be called
 // concurrently (the underlying Solver remains safe for concurrent use
@@ -77,7 +76,6 @@ type Session struct {
 	// time; reset with the cache on SetFDs.
 	memo *srepair.MatchMemo
 
-	fallbackFrac float64
 	recordImpact bool
 
 	stats      SessionStats
@@ -144,15 +142,6 @@ type Impact struct {
 // SessionOption configures a Session under construction.
 type SessionOption func(*Session)
 
-// WithDirtyFallback sets the dirty-row fraction above which Repair
-// abandons incremental splicing and re-solves every block (cache
-// classification overhead is wasted when most blocks changed anyway).
-// The default is 0.3; frac ≥ 1 never falls back, frac ≤ 0 falls back
-// whenever anything is dirty (useful for debugging).
-func WithDirtyFallback(frac float64) SessionOption {
-	return func(s *Session) { s.fallbackFrac = frac }
-}
-
 // WithImpactRecording makes every Repair record an Impact report
 // (per-FD violation counts before and after, per-block rows kept and
 // cells changed), retrievable with LastImpact. Off by default: the
@@ -172,7 +161,7 @@ func NewSession(sv *Solver, ds *FDSet, t *Table, opts ...SessionOption) (*Sessio
 	if !ds.Schema().SameAs(t.Schema()) {
 		return nil, fmt.Errorf("fdrepair: FD set and table have different schemas")
 	}
-	s := &Session{sv: sv, ds: ds, t: t, fallbackFrac: 0.3}
+	s := &Session{sv: sv, ds: ds, t: t}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -271,6 +260,11 @@ func (s *Session) SetFDs(ds *FDSet) error {
 	return nil
 }
 
+// dirtyFallbackFrac is the dirty-row fraction above which Repair
+// abandons incremental splicing and re-solves every block (cache
+// classification overhead is wasted when most blocks changed anyway).
+const dirtyFallbackFrac = 0.3
+
 // Repair computes an optimal S-repair of the session's current table
 // and its dist_sub cost, byte-identical to
 // Solver.OptimalSRepair(FDs(), Table()) — but re-solving only the
@@ -321,7 +315,7 @@ func (s *Session) Repair() (*Table, float64, error) {
 	c := s.sv.ctx.Scoped(nil, nil)
 
 	groups := s.t.RowGroups(s.partAttrs)
-	full := dirtyRows > int(s.fallbackFrac*float64(n)) || !s.primed
+	full := dirtyRows > int(dirtyFallbackFrac*float64(n)) || !s.primed
 	if len(s.cache) < n {
 		if cap(s.cache) >= n {
 			// Capacity beyond len is zeroed (blockResult holds a pointer,
@@ -499,9 +493,9 @@ func (s *Session) recordBlockImpact(before []FDImpact, groups, reps [][]int32, s
 	arity := s.t.Schema().Arity()
 	im := &Impact{Violations: before, Cost: cost}
 	// Kept rows per block: every kept row lies in exactly one block of
-	// the partition, and CombineBlocks either keeps a block's repair
-	// verbatim or drops the block entirely, so membership of the first
-	// repair row decides the whole block.
+	// the partition, and Combine either keeps a block's repair verbatim
+	// or drops the block entirely, so membership of the first repair row
+	// decides the whole block.
 	keptIn := make([]bool, s.t.Len())
 	for _, r := range rep.Rows() {
 		ri, _ := s.t.IndexOf(r.ID)

@@ -118,10 +118,9 @@ func TestSessionDifferentialRandomScripts(t *testing.T) {
 	}
 }
 
-// TestSessionDirtyFallbackPaths pins the two fallback triggers: a
-// dirty fraction above the threshold must run a full solve, and
-// WithDirtyFallback(0) must run full whenever anything is dirty —
-// both byte-identical to from-scratch.
+// TestSessionDirtyFallbackPaths pins the fallback trigger: a dirty
+// fraction above the threshold must run a full solve, byte-identical
+// to from-scratch.
 func TestSessionDirtyFallbackPaths(t *testing.T) {
 	ds := sessionFDSets()["marriage"]
 	rng := rand.New(rand.NewSource(42))
@@ -148,20 +147,6 @@ func TestSessionDirtyFallbackPaths(t *testing.T) {
 	checkSessionMatchesColdSolve(t, s, "high-dirty")
 	if st := s.Stats(); !st.FullSolve || st.BlocksReused != 0 {
 		t.Fatalf("high dirty fraction must trigger the full-solve fallback: %+v", st)
-	}
-
-	// Zero threshold: any dirty row forces full.
-	s2, err := NewSession(NewSolver(), ds, tab.Clone(), WithDirtyFallback(0))
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	checkSessionMatchesColdSolve(t, s2, "seed-2")
-	if _, err := s2.AppendRows([]Tuple{{"a1", "b1", "c1"}}, nil); err != nil {
-		t.Fatalf("AppendRows: %v", err)
-	}
-	checkSessionMatchesColdSolve(t, s2, "append-under-zero-threshold")
-	if st := s2.Stats(); !st.FullSolve {
-		t.Fatalf("zero threshold must run full on any dirty row: %+v", st)
 	}
 }
 

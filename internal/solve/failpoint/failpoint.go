@@ -94,16 +94,6 @@ func Enable(name string, spec Spec) {
 	points[name] = &point{spec: spec}
 }
 
-// Disable disarms the named failpoint (no-op when not armed).
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := points[name]; ok {
-		delete(points, name)
-		armed.Add(-1)
-	}
-}
-
 // DisableAll disarms every failpoint. Chaos tests defer it so a failed
 // assertion never leaks an armed point into later tests.
 func DisableAll() {

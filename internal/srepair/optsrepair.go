@@ -1,9 +1,14 @@
 // Package srepair implements the paper's algorithms for optimal subset
 // repairs (optimal S-repairs):
 //
-//   - OptSRepair (Algorithm 1) with its three subroutines CommonLHSRep,
-//     ConsensusRep and MarriageRep (Subroutines 1–3), a polynomial-time
-//     exact algorithm that succeeds exactly when OSRSucceeds does;
+//   - OptSRepair (Algorithm 1), a polynomial-time exact algorithm that
+//     succeeds exactly when OSRSucceeds does. It is one recursion: each
+//     node partitions its rows on the attributes its simplification
+//     step removes, solves the blocks, and combines them — union for a
+//     common lhs, the heaviest block for a consensus FD, a
+//     maximum-weight matching for an lhs marriage (Subroutines 1–3,
+//     all in combine). BlockSolver exposes the root's blocks and that
+//     same combine to resident sessions;
 //   - OSRSucceeds (Algorithm 2) and a human-readable simplification
 //     trace in the style of Example 3.5;
 //   - Exact: an exponential-time baseline for arbitrary FD sets via
@@ -87,7 +92,11 @@ type solver struct {
 }
 
 // solve returns the row indices (into the view's backing table) of an
-// optimal S-repair of the view.
+// optimal S-repair of the view. Every node of Algorithm 1 has the same
+// body: partition the rows on the attributes the node's simplification
+// step removes (the common-lhs attribute, the consensus attributes, or
+// the married pair X1∪X2), solve each block under the simplified set,
+// and combine the block repairs by the step's rule.
 func (s solver) solve(v table.View, depth int) ([]int32, error) {
 	s.c.Stats().Node()
 	if err := s.c.Err(); err != nil {
@@ -99,16 +108,17 @@ func (s solver) solve(v table.View, depth int) ([]int32, error) {
 		return v.Rows(), nil
 	}
 	st := s.steps[depth]
-	switch st.Kind {
-	case fd.KindCommonLHS:
-		return s.commonLHSRep(st, v, depth)
-	case fd.KindConsensus:
-		return s.consensusRep(st, v, depth)
-	case fd.KindMarriage:
-		return s.marriageRep(st, v, depth)
-	default:
-		return nil, fmt.Errorf("srepair: unknown simplification %v", st.Kind)
+	g := v.GroupByArena(s.c, st.Removed)
+	// Deferred so cancelled solves recycle their scratch too; combine's
+	// result is always a fresh slice, copied out before the deferred
+	// release runs.
+	defer g.Release(s.c)
+	reps, err := s.solveBlocks(v, g.Groups, depth)
+	if err != nil {
+		return nil, err
 	}
+	defer s.c.PutInt32Slices(reps)
+	return combine(s.c, st, v.Table(), v.Len(), g.Groups, reps, nil, nil, nil)
 }
 
 // solveBlocks solves every group at depth+1, enqueuing independent
@@ -140,129 +150,156 @@ func (s solver) solveBlocks(v table.View, groups [][]int32, depth int) ([][]int3
 	return reps, nil
 }
 
-// commonLHSRep is Subroutine 1: partition by the common-lhs attribute,
-// solve each block under Δ − A, return the union.
-func (s solver) commonLHSRep(st fd.Simplification, v table.View, depth int) ([]int32, error) {
-	g := v.GroupByArena(s.c, st.Removed)
-	// Deferred so cancelled solves recycle their scratch too; the
-	// return value is always a fresh slice, copied out before the
-	// deferred release runs.
-	defer g.Release(s.c)
-	reps, err := s.solveBlocks(v, g.Groups, depth)
-	if err != nil {
-		return nil, err
-	}
-	defer s.c.PutInt32Slices(reps)
-	total := 0
-	for _, rep := range reps {
-		total += len(rep)
-	}
-	keep := make([]int32, 0, total)
-	for _, rep := range reps {
-		keep = append(keep, rep...)
-	}
-	sortRows(keep)
-	return keep, nil
-}
-
-// consensusRep is Subroutine 2: partition by the consensus attributes,
-// solve each block under Δ − X, return the heaviest block repair.
-func (s solver) consensusRep(st fd.Simplification, v table.View, depth int) ([]int32, error) {
-	if v.Len() == 0 {
-		return v.Rows(), nil
-	}
-	g := v.GroupByArena(s.c, st.Removed)
-	defer g.Release(s.c)
-	reps, err := s.solveBlocks(v, g.Groups, depth)
-	if err != nil {
-		return nil, err
-	}
-	defer s.c.PutInt32Slices(reps)
-	var best []int32
-	bestW := math.Inf(-1)
-	for _, rep := range reps {
-		if w := v.Subview(rep).TotalWeight(); w > bestW {
-			best, bestW = rep, w
-		}
-	}
-	// best may alias a shared group bucket (a block that bottomed out
-	// returns its rows verbatim), which the deferred release recycles —
-	// copy it out before returning, and sort the copy (never the
-	// bucket).
-	best = slices.Clone(best)
-	if !slices.IsSorted(best) {
-		sortRows(best)
-	}
-	return best, nil
-}
-
-// marriageRep is Subroutine 3: group by the married pair (X1, X2),
-// solve each group under Δ − X1X2, and combine the groups through a
-// maximum-weight bipartite matching between the X1-values and the
-// X2-values.
+// combine is the combine step of one node of Algorithm 1, shared by
+// the recursion and BlockSolver.Combine. groups partitions the node's
+// rows (rows of them, all in t), each group ascending and the groups
+// ordered by first row; reps[i] is an optimal repair of groups[i] and
+// weights[i] its weight (nil weights: BlockWeight). The result is
 //
-// The matching graph has exactly one edge per observed (a1, a2) block,
-// so the edge list goes straight to the sparse engine — cost scales
-// with the number of blocks the data contains, not with the product of
-// distinct-value counts a dense matrix would pad to. Connected
-// components of the marriage graph become tasks on the same
-// work-stealing scheduler as the repair blocks.
-func (s solver) marriageRep(st fd.Simplification, v table.View, depth int) ([]int32, error) {
-	if v.Len() == 0 {
-		return v.Rows(), nil
-	}
-	t := v.Table()
-	// Node sets: distinct X1 and X2 projections, indexed by their
-	// dictionary codes in order of first appearance within the view.
-	codes1, n1 := t.ProjectionCodes(st.X1)
-	codes2, n2 := t.ProjectionCodes(st.X2)
-	v1Index := newCodeIndex(s.c, n1, v.Len())
-	defer v1Index.release(s.c)
-	v2Index := newCodeIndex(s.c, n2, v.Len())
-	defer v2Index.release(s.c)
-	for _, ri := range v.Rows() {
-		v1Index.add(codes1[ri])
-		v2Index.add(codes2[ri])
-	}
-	g := v.GroupByArena(s.c, st.X1.Union(st.X2))
-	defer g.Release(s.c)
-	reps, err := s.solveBlocks(v, g.Groups, depth)
-	if err != nil {
-		return nil, err
-	}
-	defer s.c.PutInt32Slices(reps)
-	// Edge gi joins the block's X1-node to its X2-node, weighted by the
-	// block's optimal S-repair; distinct blocks have distinct endpoint
-	// pairs, so edge indices and group indices coincide.
-	edges := getEdges(s.c, len(g.Groups))
-	defer putEdges(s.c, edges)
-	for gi, grp := range g.Groups {
-		first := grp[0]
-		edges[gi] = graph.Edge{
-			I: v1Index.of(codes1[first]),
-			J: v2Index.of(codes2[first]),
-			W: v.Subview(reps[gi]).TotalWeight(),
+//   - for a common lhs (Subroutine 1), the union of every block repair;
+//   - for a consensus FD (Subroutine 2), the heaviest block repair, the
+//     first on ties;
+//   - for an lhs marriage (Subroutine 3), the union of the block
+//     repairs a maximum-weight matching between the X1-values and the
+//     X2-values picks, with one edge per block. The edge list goes
+//     straight to the sparse engine, so cost scales with the number of
+//     blocks, not with the product of distinct-value counts a dense
+//     matrix would pad to; connected components become tasks on the
+//     same scheduler as the repair blocks, and memo (nil: none) caches
+//     them across calls.
+//
+// The row set is ascending. A union lands in *buf when buf is non-nil
+// (valid until the next combine on it); every other result is freshly
+// allocated.
+func combine(c *solve.Ctx, st fd.Simplification, t *table.Table, rows int, groups, reps [][]int32, weights []float64, memo *MatchMemo, buf *[]int32) ([]int32, error) {
+	weight := func(gi int) float64 {
+		if weights == nil {
+			return BlockWeight(t, reps[gi])
 		}
+		return weights[gi]
 	}
-	sm, err := graph.NewSparseMatcher(v1Index.len(), v2Index.len(), edges)
-	if err != nil {
-		return nil, err
+	switch st.Kind {
+	case fd.KindCommonLHS:
+		return union(c, t.Len(), rows, reps, nil, buf), nil
+
+	case fd.KindConsensus:
+		var best []int32
+		bestW := math.Inf(-1)
+		for gi, rep := range reps {
+			if w := weight(gi); w > bestW {
+				best, bestW = rep, w
+			}
+		}
+		// best may alias a shared group bucket (a block that bottomed out
+		// returns its rows verbatim), which the caller recycles — copy it
+		// out, and sort the copy (never the bucket).
+		best = slices.Clone(best)
+		if !slices.IsSorted(best) {
+			slices.Sort(best)
+		}
+		return best, nil
+
+	case fd.KindMarriage:
+		// Node numbering by first appearance among the node's rows. The
+		// earliest row carrying any X1 (or X2) code is necessarily the
+		// first row of its block — an earlier row of the same block would
+		// carry the same code — and groups are ordered by first row, so
+		// scanning only the block-first rows visits the codes in the same
+		// first-appearance order at O(blocks) instead of O(rows).
+		codes1, n1 := t.ProjectionCodes(st.X1)
+		codes2, n2 := t.ProjectionCodes(st.X2)
+		v1Index := newCodeIndex(c, n1, rows)
+		defer v1Index.release(c)
+		v2Index := newCodeIndex(c, n2, rows)
+		defer v2Index.release(c)
+		// Edge gi joins block gi's X1-node to its X2-node; distinct
+		// blocks have distinct endpoint pairs, so edge indices and group
+		// indices coincide.
+		edges := getEdges(c, len(groups))
+		defer putEdges(c, edges)
+		for gi, grp := range groups {
+			first := grp[0]
+			edges[gi] = graph.Edge{
+				I: v1Index.index(codes1[first]),
+				J: v2Index.index(codes2[first]),
+				W: weight(gi),
+			}
+		}
+		sm, err := graph.NewSparseMatcher(v1Index.len(), v2Index.len(), edges)
+		if err != nil {
+			return nil, err
+		}
+		sm.Ctx = c
+		sm.Memo = memo
+		res, err := sm.Solve()
+		if err != nil {
+			return nil, err
+		}
+		return union(c, t.Len(), rows, reps, res.Picked, buf), nil
 	}
-	sm.Ctx = s.c
-	res, err := sm.Solve()
-	if err != nil {
-		return nil, err
+	return nil, fmt.Errorf("srepair: unknown simplification %v", st.Kind)
+}
+
+// unionKey pools union's membership bitmap on the solve context.
+type unionKey struct{}
+
+// union merges disjoint block repairs into one ascending row set: the
+// reps at the picked indices (all of them when picked is nil), into
+// *buf when buf is non-nil and a fresh slice otherwise. A node whose
+// rows cover the whole n-row table marks a pooled membership bitmap
+// and emits it in one linear pass, O(n) instead of O(n·log n); every
+// node below concatenates and sorts in O(rows·log rows) rather than
+// clear and scan an n-row bitmap.
+func union(c *solve.Ctx, n, rows int, reps [][]int32, picked []int, buf *[]int32) []int32 {
+	k := len(reps)
+	if picked != nil {
+		k = len(picked)
+	}
+	rep := func(i int) []int32 {
+		if picked == nil {
+			return reps[i]
+		}
+		return reps[picked[i]]
 	}
 	total := 0
-	for _, gi := range res.Picked {
-		total += len(reps[gi])
+	for i := range k {
+		total += len(rep(i))
 	}
-	keep := make([]int32, 0, total)
-	for _, gi := range res.Picked {
-		keep = append(keep, reps[gi]...)
+	var keep []int32
+	if buf != nil {
+		keep = slices.Grow((*buf)[:0], total)
+	} else {
+		keep = make([]int32, 0, total)
 	}
-	sortRows(keep)
-	return keep, nil
+	if rows < n {
+		for i := range k {
+			keep = append(keep, rep(i)...)
+		}
+		slices.Sort(keep)
+	} else {
+		scr, _ := c.GetScratch(unionKey{}).(*[]bool)
+		if scr == nil {
+			scr = new([]bool)
+		}
+		in := solve.Grow(*scr, n)
+		*scr = in
+		defer c.PutScratch(unionKey{}, scr)
+		clear(in)
+		for i := range k {
+			for _, ri := range rep(i) {
+				in[ri] = true
+			}
+		}
+		for ri, ok := range in {
+			if ok {
+				keep = append(keep, int32(ri))
+			}
+		}
+	}
+	if buf != nil {
+		*buf = keep
+	}
+	return keep
 }
 
 // edgeKey pools marriage edge lists on the solve context, one list per
@@ -316,31 +353,25 @@ func (ci *codeIndex) release(c *solve.Ctx) {
 	}
 }
 
-func (ci *codeIndex) add(code int32) {
+// index returns the code's local node index, assigning the next one
+// on the code's first sight.
+func (ci *codeIndex) index(code int32) int {
 	if ci.m != nil {
-		if _, ok := ci.m[code]; !ok {
-			ci.m[code] = int32(ci.n)
+		l, ok := ci.m[code]
+		if !ok {
+			l = int32(ci.n)
+			ci.m[code] = l
 			ci.n++
 		}
-		return
+		return int(l)
 	}
 	if ci.local[code] < 0 {
 		ci.local[code] = int32(ci.n)
 		ci.n++
 	}
-}
-
-func (ci *codeIndex) of(code int32) int {
-	if ci.m != nil {
-		return int(ci.m[code])
-	}
 	return int(ci.local[code])
 }
 func (ci *codeIndex) len() int { return ci.n }
-
-// sortRows orders row indices ascending (= insertion order), keeping
-// results deterministic regardless of block solve order.
-func sortRows(rows []int32) { slices.Sort(rows) }
 
 // OSRSucceeds is Algorithm 2: it reports whether OptSRepair succeeds on
 // the FD set, i.e. whether the set simplifies to a trivial set. By

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/fd"
 	"repro/internal/schema"
 	"repro/internal/solve"
+	"repro/internal/solve/failpoint"
 	"repro/internal/table"
 	"repro/internal/workload"
 )
@@ -77,40 +79,40 @@ func deepChainTable(t *testing.T) (*fd.Set, *table.Table) {
 // byte-identical to the serial engine at every worker count and (b)
 // actually move tasks between workers — queued blocks executed from
 // deques, some of them stolen across recursion levels — rather than
-// degenerating to one worker walking the tree. The steal assertion
-// needs real parallelism (on GOMAXPROCS=1 the producing worker never
-// yields and correctly runs its whole subtree itself), so it is
-// enforced only on multi-core runs — CI pins GOMAXPROCS=4 for this
-// test — and retried a few times to absorb goroutine scheduling noise.
+// degenerating to one worker walking the tree. The steal must not
+// depend on how soon the OS runs a helper goroutine: the slow-block
+// failpoint stalls the first block dispatch of each solve for
+// holdFirstBlock. Both top-level blocks are queued before it, and the
+// helper the first push spawned is runnable, so a helper steals a
+// top-level block while the first dispatcher (producer or helper) is
+// held. The steal assertion is enforced on multi-core runs (CI pins
+// GOMAXPROCS=4 for this test).
 func TestSchedulerDeepChainLateFanOut(t *testing.T) {
+	const holdFirstBlock = 50 * time.Millisecond
 	ds, tab := deepChainTable(t)
 	serial, err := OptSRepair(ds, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer failpoint.DisableAll()
 	for _, w := range []int{2, 4} {
-		var snap solve.Snapshot
-		for attempt := 0; attempt < 5; attempt++ {
-			st := new(solve.Stats)
-			c := solve.New(w, nil, st)
-			got, err := OptSRepairCtx(c, ds, tab)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			sameRepair(t, fmt.Sprintf("deep-chain/workers=%d", w), tab, got, serial)
-			snap = st.Snapshot()
-			if snap.BlocksParallel == 0 {
-				t.Fatalf("workers=%d: no blocks executed as scheduler tasks: %+v", w, snap)
-			}
-			if snap.Steals > 0 {
-				break
-			}
+		failpoint.Enable(failpoint.SlowBlock, failpoint.Spec{Count: 1, Sleep: holdFirstBlock})
+		st := new(solve.Stats)
+		got, err := OptSRepairCtx(solve.New(w, nil, st), ds, tab)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if fires := failpoint.Fires(failpoint.SlowBlock); fires != 1 {
+			t.Fatalf("workers=%d: slow-block fired %d times, want 1", w, fires)
+		}
+		failpoint.DisableAll()
+		sameRepair(t, fmt.Sprintf("deep-chain/workers=%d", w), tab, got, serial)
+		snap := st.Snapshot()
+		if snap.BlocksParallel == 0 {
+			t.Fatalf("workers=%d: no blocks executed as scheduler tasks: %+v", w, snap)
 		}
 		if runtime.GOMAXPROCS(0) > 1 && snap.Steals == 0 {
 			t.Fatalf("workers=%d: no cross-worker steals on the late-fan-out shape: %+v", w, snap)
-		}
-		if snap.Steals == 0 {
-			t.Logf("workers=%d: GOMAXPROCS=1, steal assertion skipped (stats %+v)", w, snap)
 		}
 	}
 }

@@ -44,17 +44,6 @@ type projection struct {
 	codes  []int32
 	groups int
 
-	// dense records that codes are exactly canonical: every code in
-	// [0, groups) has at least one carrier and codes are numbered in
-	// first-appearance order. True for every fresh build (codes are
-	// assigned by first appearance) and preserved by pure appends (new
-	// codes are sequential); cleared by cell recodes, which can orphan
-	// codes and reorder first appearances. A dense projection's
-	// grouping skips canonicalGroups' rank detection pass and its
-	// O(bound) rank array — the allocation that triples the footprint
-	// of a 10M-row group-by.
-	dense bool
-
 	// rg is the lazily materialized whole-table row grouping. Most
 	// projections are only ever read for their codes (equality labels),
 	// so the grouping builds on first demand — under encMu, published
@@ -94,14 +83,6 @@ type encoding struct {
 	card  []int             // per attribute: dictionary size
 	dicts []map[Value]int32 // per attribute: value -> code (encMu only)
 	proj  map[schema.AttrSet]*projection
-
-	// recoded marks attributes whose column codes were rewritten in
-	// place by a cell update: the codes may have orphans or sit out of
-	// first-appearance order, so a single-attribute projection built
-	// over them afterwards must not claim density (canonicalGroups
-	// re-derives the true shape). The zero value — no column recoded —
-	// is correct for every fresh build.
-	recoded schema.AttrSet
 }
 
 // clone returns a shallow working copy for copy-on-write extension:
@@ -109,12 +90,11 @@ type encoding struct {
 // dictionaries.
 func (e *encoding) clone(arity int) *encoding {
 	next := &encoding{
-		n:       e.n,
-		cols:    make([][]int32, arity),
-		card:    make([]int, arity),
-		dicts:   make([]map[Value]int32, arity),
-		proj:    make(map[schema.AttrSet]*projection, len(e.proj)+1),
-		recoded: e.recoded,
+		n:     e.n,
+		cols:  make([][]int32, arity),
+		card:  make([]int, arity),
+		dicts: make([]map[Value]int32, arity),
+		proj:  make(map[schema.AttrSet]*projection, len(e.proj)+1),
 	}
 	copy(next.cols, e.cols)
 	copy(next.card, e.card)
@@ -205,10 +185,10 @@ func (t *Table) buildProjection(e *encoding, attrs schema.AttrSet) *projection {
 	var p *projection
 	switch len(pos) {
 	case 0:
-		p = &projection{codes: make([]int32, n), groups: 1, dense: true}
+		p = &projection{codes: make([]int32, n), groups: 1}
 	case 1:
 		col := t.column(e, pos[0])
-		p = &projection{codes: col, groups: e.card[pos[0]], dense: !e.recoded.Contains(pos[0])}
+		p = &projection{codes: col, groups: e.card[pos[0]]}
 	default:
 		p = t.buildMultiProjection(e, attrs, pos)
 	}
@@ -226,48 +206,10 @@ func (t *Table) grouping(p *projection) *rowGrouping {
 	if g := p.rg.Load(); g != nil {
 		return g
 	}
-	var g *rowGrouping
-	if p.dense {
-		g = &rowGrouping{buckets: denseGroups(p.codes, p.groups), aligned: true}
-	} else {
-		buckets, aligned := canonicalGroups(p.codes, p.groups)
-		g = &rowGrouping{buckets: buckets, aligned: aligned}
-	}
+	buckets, aligned := canonicalGroups(p.codes, p.groups)
+	g := &rowGrouping{buckets: buckets, aligned: aligned}
 	p.rg.Store(g)
 	return g
-}
-
-// denseGroups is canonicalGroups for a projection known to be dense
-// (codes canonical: no holes in [0, bound), first-appearance order —
-// see projection.dense). Bucket index equals code by construction, so
-// the rank array and its detection pass are skipped: two passes over
-// the codes, counts + flat + headers allocated, nothing else. On a
-// 10M-row table this is the difference between two n-sized scratch
-// arrays and three.
-func denseGroups(codes []int32, bound int) [][]int32 {
-	if len(codes) == 0 {
-		return nil
-	}
-	counts := make([]int32, bound)
-	for _, c := range codes {
-		counts[c]++
-	}
-	starts := make([]int32, bound+1)
-	for g := 0; g < bound; g++ {
-		starts[g+1] = starts[g] + counts[g]
-	}
-	flat := make([]int32, len(codes))
-	next := counts // reuse as cursors
-	copy(next, starts[:bound])
-	for ri, c := range codes {
-		flat[next[c]] = int32(ri)
-		next[c]++
-	}
-	out := make([][]int32, bound)
-	for g := 0; g < bound; g++ {
-		out[g] = flat[starts[g]:starts[g+1]:starts[g+1]]
-	}
-	return out
 }
 
 // buildMultiProjection packs the per-column codes of a multi-attribute
@@ -286,7 +228,7 @@ func (t *Table) buildMultiProjection(e *encoding, attrs schema.AttrSet, pos []in
 		width[i] = w
 		total += w
 	}
-	p := &projection{codes: make([]int32, n), dense: true}
+	p := &projection{codes: make([]int32, n)}
 	if total <= 64 {
 		seen := make(map[uint64]int32, n)
 		for ri := 0; ri < n; ri++ {
@@ -325,12 +267,12 @@ func (t *Table) buildMultiProjection(e *encoding, attrs schema.AttrSet, pos []in
 // bucket), drops codes no row carries, and orders the buckets by their
 // first row index — exactly the grouping a cold first-appearance build
 // produces. On a fresh encoding codes are dense and already in
-// first-appearance order, so nothing is dropped and the sort check is
-// one linear no-op pass; after incremental cell updates codes may have
-// holes and sit out of first-appearance order, and this restores the
-// canonical grouping so every order-sensitive consumer (GroupBy,
-// identity-view GroupByArena, block enumeration) stays byte-identical
-// to a from-scratch rebuild. All buckets share one backing array.
+// first-appearance order, so nothing is dropped and the bucket index is
+// the code; after incremental cell updates codes may have holes and sit
+// out of first-appearance order, and this restores the canonical
+// grouping so every order-sensitive consumer (GroupBy, identity-view
+// GroupByArena, block enumeration) stays byte-identical to a
+// from-scratch rebuild. All buckets share one backing array.
 //
 // aligned reports whether bucket index equals code throughout: no code
 // in [0, bound) was dropped and the buckets are already in code order.
@@ -338,28 +280,45 @@ func canonicalGroups(codes []int32, bound int) (groups [][]int32, aligned bool) 
 	if len(codes) == 0 {
 		return nil, true
 	}
-	// Rank codes by first appearance, then counting-sort on the rank:
-	// the buckets come out in canonical order directly, with no
-	// comparison sort even when cell recodes have left the code values
-	// out of first-appearance order or with holes.
-	rank := make([]int32, bound)
-	for i := range rank {
-		rank[i] = -1
-	}
+	// One pass decides whether the codes are canonical: every code is
+	// first seen exactly when it is the next unused one, and all of
+	// [0, bound) occur. Canonical codes bucket by code directly; only
+	// other codes pay for the O(bound) rank array.
 	live := int32(0)
 	aligned = true
 	for _, c := range codes {
-		if rank[c] < 0 {
-			if c != live {
-				aligned = false
-			}
-			rank[c] = live
+		if c == live {
 			live++
+		} else if c > live {
+			aligned = false
+			break
+		}
+	}
+	aligned = aligned && int(live) == bound
+	// Otherwise rank codes by first appearance, then counting-sort on
+	// the rank: the buckets come out in canonical order directly, with
+	// no comparison sort even when cell recodes have left the code
+	// values out of first-appearance order or with holes.
+	var rank []int32
+	if !aligned {
+		rank = make([]int32, bound)
+		for i := range rank {
+			rank[i] = -1
+		}
+		live = 0
+		for _, c := range codes {
+			if rank[c] < 0 {
+				rank[c] = live
+				live++
+			}
 		}
 	}
 	counts := make([]int32, live)
 	for _, c := range codes {
-		counts[rank[c]]++
+		if rank != nil {
+			c = rank[c]
+		}
+		counts[c]++
 	}
 	starts := make([]int32, live+1)
 	for g := int32(0); g < live; g++ {
@@ -369,15 +328,17 @@ func canonicalGroups(codes []int32, bound int) (groups [][]int32, aligned bool) 
 	next := counts // reuse as cursors
 	copy(next, starts[:live])
 	for ri, c := range codes {
-		r := rank[c]
-		flat[next[r]] = int32(ri)
-		next[r]++
+		if rank != nil {
+			c = rank[c]
+		}
+		flat[next[c]] = int32(ri)
+		next[c]++
 	}
 	out := make([][]int32, live)
 	for g := int32(0); g < live; g++ {
 		out[g] = flat[starts[g]:starts[g+1]:starts[g+1]]
 	}
-	return out, aligned && int(live) == bound
+	return out, aligned
 }
 
 // ProjectionCodes returns one int32 code per row (in insertion order)

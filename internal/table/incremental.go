@@ -129,15 +129,13 @@ func (t *Table) extendProjectionAppend(next *encoding, p *projection, attrs sche
 	var np *projection
 	switch {
 	case len(pos) == 0:
-		np = &projection{codes: make([]int32, n), groups: 1, dense: true}
+		np = &projection{codes: make([]int32, n), groups: 1}
 	case len(pos) == 1:
 		// Single attribute: the projection is the column itself (built
 		// above when it existed, from scratch when the projection was
-		// cached over an empty table). Appends preserve density (new
-		// codes are sequential, old codes keep their carriers), so
-		// dense carries over from the pre-append projection.
+		// cached over an empty table).
 		col := t.column(next, pos[0])
-		np = &projection{codes: col, groups: next.card[pos[0]], dense: p.dense}
+		np = &projection{codes: col, groups: next.card[pos[0]]}
 	case p.seen == nil && p.sseen == nil:
 		// Cached over an empty table: no retained key state to extend.
 		return t.buildProjection(next, attrs)
@@ -152,7 +150,7 @@ func (t *Table) extendProjectionAppend(next *encoding, p *projection, attrs sche
 			}
 			codes = append(codes, c)
 		}
-		np = &projection{codes: codes, groups: len(p.sseen), sseen: p.sseen, dense: p.dense}
+		np = &projection{codes: codes, groups: len(p.sseen), sseen: p.sseen}
 	default:
 		// Packed keys: when a dictionary outgrew its bit width the packed
 		// keys change meaning, so the projection rebuilds from scratch —
@@ -176,7 +174,7 @@ func (t *Table) extendProjectionAppend(next *encoding, p *projection, attrs sche
 			}
 			codes = append(codes, c)
 		}
-		np = &projection{codes: codes, groups: len(p.seen), width: p.width, seen: p.seen, dense: p.dense}
+		np = &projection{codes: codes, groups: len(p.seen), width: p.width, seen: p.seen}
 	}
 	if g := p.rg.Load(); g != nil && g.aligned {
 		// Pure appends keep an aligned grouping canonical by
@@ -249,7 +247,6 @@ func (t *Table) extendEncodingCells(updates []CellUpdate) {
 		}
 		col[ri] = c
 		next.card[u.Attr] = len(dict)
-		next.recoded = next.recoded.Add(u.Attr)
 	}
 	rows := make([]int32, 0, len(rowSet))
 	for ri := range rowSet {
@@ -312,8 +309,7 @@ func (t *Table) recodeProjectionRows(next *encoding, p *projection, attrs schema
 		np = &projection{codes: p.codes, groups: len(p.seen), width: p.width, seen: p.seen}
 	}
 	// Cell recodes can orphan a code or break first-appearance order, so
-	// the grouping is dropped back to lazy and dense stays false (the
-	// struct literals above leave it unset); the next consumer rebuilds
+	// the grouping is dropped back to lazy; the next consumer rebuilds
 	// the grouping — and re-derives alignment — from the recoded labels.
 	return np
 }

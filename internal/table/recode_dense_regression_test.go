@@ -9,13 +9,12 @@ import (
 
 // Regression test: a single-attribute projection built for the first
 // time AFTER SetCellsIncremental has recoded that column must not be
-// marked dense. The recode rewrites column codes in place, which can
-// orphan a code (no remaining carrier) and break first-appearance
-// order; a projection that still claims density sends grouping through
-// denseGroups, which panics on the orphaned code's empty bucket and
-// would return buckets out of canonical order even when it survives.
-// The encoding records recoded columns (encoding.recoded) and builds
-// their projections non-dense, so canonicalGroups re-derives the true
+// grouped as if its codes were canonical. The recode rewrites column
+// codes in place, which can orphan a code (no remaining carrier) and
+// break first-appearance order; bucketing such codes by code value
+// panics on the orphaned code's empty bucket and returns buckets out of
+// canonical order even when it survives. canonicalGroups checks the
+// codes themselves and ranks non-canonical ones, re-deriving the true
 // shape. Pinned against a from-scratch table as the oracle.
 func TestGroupByAfterIncrementalColumnRecode(t *testing.T) {
 	sc, _ := schema.New("T", "A", "B")

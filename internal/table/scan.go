@@ -55,9 +55,6 @@ type csvScanner struct {
 	// what the ingestion error messages report for a bad id/weight.
 	fieldLines []int
 
-	// recLine is the physical line the current record starts on.
-	recLine int
-
 	err error
 }
 
@@ -143,10 +140,6 @@ func (s *csvScanner) Field(i int) []byte {
 // the current record starts on.
 func (s *csvScanner) FieldLine(i int) int { return s.fieldLines[i] }
 
-// RecordLine returns the physical 1-based input line the current
-// record starts on.
-func (s *csvScanner) RecordLine() int { return s.recLine }
-
 func (s *csvScanner) readRecord() error {
 	// Read line, automatically skipping past empty lines.
 	var line []byte
@@ -168,7 +161,6 @@ func (s *csvScanner) readRecord() error {
 	const quoteLen = len(`"`)
 	const commaLen = len(`,`)
 	recLine := s.numLine // Starting line for record
-	s.recLine = recLine
 	s.recordBuffer = s.recordBuffer[:0]
 	s.fieldIndexes = s.fieldIndexes[:0]
 	s.fieldLines = s.fieldLines[:0]

@@ -81,9 +81,6 @@ func (v View) Len() int { return len(v.rows) }
 // the backing table, typically one group of GroupBy).
 func (v View) Subview(rows []int32) View { return View{t: v.t, rows: rows} }
 
-// RowAt returns the i-th selected row.
-func (v View) RowAt(i int) Row { return v.t.rows[v.rows[i]] }
-
 // IDs returns the identifiers selected by the view, in view order.
 func (v View) IDs() []int {
 	out := make([]int, len(v.rows))
