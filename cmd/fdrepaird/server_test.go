@@ -145,6 +145,9 @@ func TestSolveBadRequests(t *testing.T) {
 		{"bad algo", url.Values{"fd": {"A -> B"}, "algo": {"quantum"}}.Encode(), conflicted},
 		{"bad timeout", url.Values{"fd": {"A -> B"}, "timeout": {"soon"}}.Encode(), conflicted},
 		{"bad csv", url.Values{"fd": {"A -> B"}}.Encode(), "id,A,B\n1,only-two"},
+		{"prefer unknown id", url.Values{"fd": {"A -> B"}, "algo": {"priority"}, "prefer": {"1>99"}}.Encode(), conflicted},
+		{"prefer non-conflicting", url.Values{"fd": {"A -> B"}, "algo": {"priority"}, "prefer": {"1>3"}}.Encode(), conflicted},
+		{"prefer cycle", url.Values{"fd": {"A -> B"}, "algo": {"priority"}, "prefer": {"1>2", "2>1"}}.Encode(), conflicted},
 	} {
 		resp := postSolve(t, ts, tc.query, "", tc.body)
 		readAll(t, resp)
@@ -152,8 +155,8 @@ func TestSolveBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
-	if got := checkOutcomes(t, ts); got["rejected"] != 5 {
-		t.Fatalf("rejected = %d, want 5", got["rejected"])
+	if got := checkOutcomes(t, ts); got["rejected"] != 8 {
+		t.Fatalf("rejected = %d, want 8", got["rejected"])
 	}
 }
 

@@ -83,7 +83,7 @@ var algorithms = [...]algoEntry{
 	AlgoCFDSRepair:     {"cfd-srepair", "cfd", needCFDs, runCFD},
 	AlgoDenialSRepair:  {"denial-srepair", "denial", needDenial, runDenial},
 	AlgoCQA:            {"cqa", "cqa", needQuery, runCQA},
-	AlgoPriorityRepair: {"priority-repair", "priority", needFDs, runPriority},
+	AlgoPriorityRepair: {"priority-repair", "priority", needPriority, runPriority},
 	AlgoAuto:           {"auto", "auto", needFDs, runAuto},
 }
 
@@ -168,6 +168,19 @@ func needDenial(r *Request) error {
 func needQuery(r *Request) error {
 	if r.FDs == nil || r.Query == nil {
 		return errors.New("an FD set (fd) and a query (project)")
+	}
+	return nil
+}
+
+// needPriority also validates Request.Priority with the check the
+// priority engine runs before it solves, so an invalid relation fails
+// here, before any solve starts.
+func needPriority(r *Request) error {
+	if err := needFDs(r); err != nil || r.Priority == nil {
+		return err
+	}
+	if err := r.Priority.Check(r.FDs, r.Table); err != nil {
+		return fmt.Errorf("a valid priority relation (prefer): %w", err)
 	}
 	return nil
 }

@@ -52,9 +52,15 @@
 // components, so the 64-tuple enumeration bound applies per component
 // instead of per table — a table of any size answers exactly as long
 // as each individual component stays within the bound.
-// PrioritizedRepair admits rows with per-FD code maps local to each
-// conflict component instead of cloning the repair and re-checking
-// consistency per insertion.
+// PrioritizedRepair runs in O(n log n + |≻|) time for n tuples and
+// lists no conflict edge: it checks each preference on the projection
+// codes, orders the tuples by Kahn's algorithm with a min-heap on tuple
+// id, finds the conflict components by union-find over lhs groups, and
+// admits rows with per-FD code maps local to each component instead of
+// cloning the repair and re-checking consistency per insertion. A
+// Request whose priorities name an unknown tuple, relate two tuples
+// that do not conflict or form a cycle fails its input check, so
+// ParseRequest rejects it before any solve starts.
 //
 // # One algorithm table
 //

@@ -15,8 +15,9 @@ type PriorityRelation = priority.Relation
 func NewPriority() *PriorityRelation { return priority.NewRelation() }
 
 // PrioritizedRepair computes a completion-optimal repair: tuples enter
-// greedily along a topological completion of the priorities. Runs in
-// polynomial time.
+// greedily along a topological completion of the priorities, the
+// smallest tuple id first among the tuples ready to enter. Runs in
+// O(n log n + |≻|) time for n tuples and |≻| preferences.
 func PrioritizedRepair(ds *FDSet, t *Table, r *PriorityRelation) (*Table, error) {
 	return std.PrioritizedRepair(ds, t, r)
 }
@@ -24,7 +25,8 @@ func PrioritizedRepair(ds *FDSet, t *Table, r *PriorityRelation) (*Table, error)
 // PrioritizedRepair is the Solver-scoped PrioritizedRepair: admission
 // runs on cached projection codes, and conflict strata are processed
 // as independent tasks across the solver's workers. A nil relation
-// means no preferences.
+// means no preferences. A relation naming an unknown tuple, relating
+// two tuples that do not conflict, or cyclic is an error.
 func (s *Solver) PrioritizedRepair(ds *FDSet, t *Table, r *PriorityRelation) (*Table, error) {
 	res := s.Solve(Request{FDs: ds, Table: t, Priority: r, Algorithm: AlgoPriorityRepair})
 	return res.Table, res.Err

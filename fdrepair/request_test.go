@@ -10,6 +10,9 @@ import (
 // algorithm reads, and every failure names the parameter at fault.
 func TestParseRequest(t *testing.T) {
 	tab := NewTable(MustSchema("T", "A", "B", "C"))
+	// Rows 1 and 2 conflict under A -> B, so prefer=1>2 is valid.
+	tab.MustInsert(1, Tuple{"a", "b1", "c1"}, 1)
+	tab.MustInsert(2, Tuple{"a", "b2", "c1"}, 1)
 	for _, tc := range []struct {
 		algo    Algorithm
 		params  url.Values
@@ -30,6 +33,7 @@ func TestParseRequest(t *testing.T) {
 		{AlgoCQA, url.Values{"fd": {"A -> B"}, "project": {"A,Z"}}, "bad query"},
 		{AlgoPriorityRepair, url.Values{"fd": {"A -> B"}, "prefer": {" 1 > 2 "}}, ""},
 		{AlgoPriorityRepair, url.Values{"fd": {"A -> B"}, "prefer": {"1>x"}}, "bad prefer"},
+		{AlgoPriorityRepair, url.Values{"fd": {"A -> B"}, "prefer": {"1>2", "2>1"}}, "(prefer)"},
 		{Algorithm(99), url.Values{"fd": {"A -> B"}}, "unknown algorithm"},
 	} {
 		req, err := ParseRequest(tab, tc.algo, tc.params)

@@ -643,46 +643,33 @@ type ConflictEdge struct{ ID1, ID2 int }
 // consistent subset is exactly an independent set of this graph, so an
 // optimal S-repair is the complement of a maximum-weight independent
 // set, equivalently a minimum-weight vertex cover (Proposition 3.3).
+// Edges come FD by FD, then lhs group by lhs group; a pair violating
+// several FDs is listed once, under the first.
 func (t *Table) ConflictGraph(ds *fd.Set) []ConflictEdge {
-	n := len(t.rows)
-	if n == 0 {
+	if len(t.rows) == 0 {
 		return nil
 	}
-	// Deduplicate edges across FDs on (row, row) pairs: a bitset for
-	// small tables, a map beyond that.
-	const denseLimit = 1 << 11 // 2048 rows → 512 KiB bitset
-	var bits []uint64
-	var seen map[[2]int32]bool
-	if n <= denseLimit {
-		bits = make([]uint64, (n*n+63)/64)
-	} else {
-		seen = make(map[[2]int32]bool)
+	lhs := make([]*projection, ds.Len())
+	rhs := make([]*projection, ds.Len())
+	for fi := range lhs {
+		f := ds.FDAt(fi)
+		lhs[fi], rhs[fi] = t.projection(f.LHS), t.projection(f.RHS)
 	}
-	dup := func(i, j int32) bool {
-		if bits != nil {
-			k := int(i)*n + int(j)
-			if bits[k>>6]&(1<<(uint(k)&63)) != 0 {
+	violatedBefore := func(fi int, i, j int32) bool {
+		for k := 0; k < fi; k++ {
+			if lhs[k].codes[i] == lhs[k].codes[j] && rhs[k].codes[i] != rhs[k].codes[j] {
 				return true
 			}
-			bits[k>>6] |= 1 << (uint(k) & 63)
-			return false
 		}
-		k := [2]int32{i, j}
-		if seen[k] {
-			return true
-		}
-		seen[k] = true
 		return false
 	}
 	var out []ConflictEdge
-	for fi := 0; fi < ds.Len(); fi++ {
-		f := ds.FDAt(fi)
-		lhs := t.projection(f.LHS)
-		rhs := t.projection(f.RHS)
-		for _, g := range t.groupRowIndexes(lhs) {
+	for fi := range lhs {
+		rc := rhs[fi].codes
+		for _, g := range t.groupRowIndexes(lhs[fi]) {
 			for i := 0; i < len(g); i++ {
 				for j := i + 1; j < len(g); j++ {
-					if rhs.codes[g[i]] != rhs.codes[g[j]] && !dup(g[i], g[j]) {
+					if rc[g[i]] != rc[g[j]] && !violatedBefore(fi, g[i], g[j]) {
 						e := ConflictEdge{ID1: t.rows[g[i]].ID, ID2: t.rows[g[j]].ID}
 						if e.ID1 > e.ID2 {
 							e.ID1, e.ID2 = e.ID2, e.ID1
