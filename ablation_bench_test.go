@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices called out in DESIGN.md:
+// Ablation benchmarks for three design choices of the repair engine:
 // the Hungarian matching inside MarriageRep, the Bar-Yehuda–Even vertex
 // cover behind the 2-approximation, and the combined U-repair
 // approximation of Section 4.4. Quality deltas are emitted as custom

@@ -3,19 +3,31 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/solve"
 )
 
+// BenchmarkCases runs the case table behind -benchjson, one
+// sub-benchmark per case, so a case or class can be timed alone with
+// the code that writes BENCH_srepair.json:
+//
+//	go test -run '^$' -bench 'Cases/ConstraintExtScaling/priority' ./cmd/paperbench
+func BenchmarkCases(b *testing.B) {
+	for _, c := range benchCases() {
+		b.Run(c.name, c.bench)
+	}
+}
+
 // TestBenchJSONSchema is the CI smoke for the -benchjson artifact: the
-// snapshot must parse into benchResult and the OptSRepair cases must
-// carry the per-solve stats record the Solver refactor added
-// (recursion nodes, block fan-out, matcher dispatches, arena reuse).
-// By default it checks the snapshot committed at the repo root; CI
-// points BENCH_JSON at the freshly generated file to guard the
-// generator itself.
+// snapshot must list exactly the case table's names, in table order,
+// parse into benchResult, and the OptSRepair cases must carry the
+// per-solve stats record the Solver refactor added (recursion nodes,
+// block fan-out, matcher dispatches, arena reuse). By default it checks
+// the snapshot committed at the repo root; CI points BENCH_JSON at the
+// freshly generated file to guard the generator itself.
 func TestBenchJSONSchema(t *testing.T) {
 	path := os.Getenv("BENCH_JSON")
 	if path == "" {
@@ -29,8 +41,22 @@ func TestBenchJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(data, &results); err != nil {
 		t.Fatalf("%s does not parse as []benchResult: %v", path, err)
 	}
-	if len(results) == 0 {
-		t.Fatalf("%s is empty", path)
+	// A case added without a measurement, or a retired case left in the
+	// file, fails here. Building the table generates no input.
+	var got, want []string
+	for _, r := range results {
+		got = append(got, r.Name)
+	}
+	for _, c := range benchCases() {
+		want = append(want, c.name)
+	}
+	if !slices.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s does not list the case table's %d names in order; from entry %d on:\n file  %q\n table %q",
+			path, len(want), i, got[i:], want[i:])
 	}
 	byName := make(map[string]benchResult, len(results))
 	for _, r := range results {

@@ -9,6 +9,7 @@
 //	paperbench E1 E7        # run selected experiments
 //	paperbench -list        # list experiments
 //	paperbench -benchjson BENCH_srepair.json   # machine-readable perf snapshot
+//	go test -run '^$' -bench 'Cases/Fig1' ./cmd/paperbench   # time cases of that snapshot
 //	paperbench -ingestsmoke 10240000           # memory-bounded ingestion smoke
 package main
 

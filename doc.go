@@ -175,16 +175,18 @@
 // oracle (and the small-component fast path); GreedyMatching is the
 // ablation baseline over the same edge-list type.
 //
-// The bench baseline for this architecture is recorded in ROADMAP.md;
-// regenerate with:
-//
-//	go test -bench='Fig1|Table1|Scaling' -benchmem .
-//
-// or, machine-readable with per-solve stats (recursion nodes, matcher
-// dispatches, arena reuse) attached to each repair case:
+// The bench baseline for this architecture is BENCH_srepair.json,
+// written with per-solve stats (recursion nodes, matcher dispatches,
+// arena reuse) attached to each repair case by
 //
 //	go run ./cmd/paperbench -benchjson BENCH_srepair.json
 //
-// See DESIGN.md for the system inventory and the experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results.
+// and the same case table runs under go test, one case or class at a
+// time, next to the root package's size sweeps:
+//
+//	go test -run '^$' -bench 'Cases/(Fig1|Table1)' -benchmem ./cmd/paperbench
+//	go test -run '^$' -bench 'Scaling' -benchmem .
+//
+// `paperbench -list` is the experiment index (E1–E11), and `paperbench
+// all` prints each experiment's paper-vs-measured report.
 package repro

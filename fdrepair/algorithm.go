@@ -66,8 +66,11 @@ type algoEntry struct {
 	name  string                 // canonical name: String, fdrepaird's X-Repair-Algorithm
 	alias string                 // short name: fdrepair -mode, fdrepaird algo=
 	check func(r *Request) error // the inputs the algorithm consumes
-	run   func(c *solve.Ctx, r *Request, res *BatchResult) error
+	run   runFunc
 }
+
+// runFunc runs one checked request on c and records its outcome in res.
+type runFunc func(c *solve.Ctx, r *Request, res *BatchResult) error
 
 // algorithms is the one algorithm table, indexed by Algorithm. Every
 // surface reads it: String and ParseAlgorithm (so the CLI's -mode and
@@ -262,24 +265,38 @@ func runMostProbable(c *solve.Ctx, r *Request, res *BatchResult) error {
 	return err
 }
 
-func runCFD(c *solve.Ctx, r *Request, res *BatchResult) error {
-	cr, err := cfd.Approx2SRepairCtx(c, r.CFDs, r.Table)
-	if err == nil {
-		res.Table, res.Cost, res.CFD = cr.Repair, cr.TotalCost, &cr
+// The CFD and denial rows run the 2-approximation; the Solver's exact
+// CFD and denial methods run the exact engine behind the same input
+// check.
+var (
+	runCFD         = cfdRun(cfd.Approx2SRepairCtx)
+	runExactCFD    = cfdRun(cfd.ExactSRepairCtx)
+	runDenial      = denialRun(denial.Approx2SRepairCtx)
+	runExactDenial = denialRun(denial.ExactSRepairCtx)
+)
+
+func cfdRun(engine func(*solve.Ctx, []*cfd.CFD, *table.Table) (cfd.Result, error)) runFunc {
+	return func(c *solve.Ctx, r *Request, res *BatchResult) error {
+		cr, err := engine(c, r.CFDs, r.Table)
+		if err == nil {
+			res.Table, res.Cost, res.CFD = cr.Repair, cr.TotalCost, &cr
+		}
+		return err
 	}
-	return err
 }
 
-func runDenial(c *solve.Ctx, r *Request, res *BatchResult) error {
-	cs := r.Denial
-	if len(cs) == 0 {
-		var err error
-		if cs, err = denial.FromFDSet(r.FDs); err != nil {
-			return err
+func denialRun(engine func(*solve.Ctx, []*denial.Constraint, *table.Table) (*table.Table, error)) runFunc {
+	return func(c *solve.Ctx, r *Request, res *BatchResult) error {
+		cs := r.Denial
+		if len(cs) == 0 {
+			var err error
+			if cs, err = denial.FromFDSet(r.FDs); err != nil {
+				return err
+			}
 		}
+		rep, err := engine(c, cs, r.Table)
+		return keepSubset(res, r.Table, rep, err)
 	}
-	rep, err := denial.Approx2SRepairCtx(c, cs, r.Table)
-	return keepSubset(res, r.Table, rep, err)
 }
 
 func runCQA(c *solve.Ctx, r *Request, res *BatchResult) (err error) {

@@ -146,7 +146,7 @@ func (s *Solver) SolveBatch(reqs []Request, opts ...BatchOption) []BatchResult {
 				return reqs[i].Table.Len()
 			},
 			func(wc *solve.Ctx, i int) error {
-				out[i] = s.runRequest(wc, i, reqs[i], cfg)
+				out[i] = s.runRequest(wc, i, reqs[i], cfg, nil)
 				ran[i] = true
 				// Per-request isolation: the request's error lives in its
 				// BatchResult, never in the batch-level join.
@@ -168,13 +168,15 @@ func (s *Solver) SolveBatch(reqs []Request, opts ...BatchOption) []BatchResult {
 
 // runRequest executes one request under a fresh per-request solve
 // scope on wc's worker binding, dispatching through the algorithm
-// table; SolveBatch, Stream and Solve all run requests here. A panic
+// table unless run is set; SolveBatch, Stream and Solve all run
+// requests here, and the exact CFD and denial methods pass their own
+// run behind the input check of the request's algorithm. A panic
 // escaping the request body — whether from a poisoned table, an
 // algorithm bug, or an injected failpoint — is recovered here (the
 // scheduler additionally recovers panics inside enqueued block tasks)
 // and becomes this request's *PanicError; it never unwinds into the
 // scheduler, sibling requests, or the daemon serving the batch.
-func (s *Solver) runRequest(wc *solve.Ctx, i int, r Request, cfg batchConfig) (res BatchResult) {
+func (s *Solver) runRequest(wc *solve.Ctx, i int, r Request, cfg batchConfig, run runFunc) (res BatchResult) {
 	res = BatchResult{Index: i}
 	if err := r.check(); err != nil {
 		res.Err = err
@@ -203,9 +205,12 @@ func (s *Solver) runRequest(wc *solve.Ctx, i int, r Request, cfg batchConfig) (r
 		}
 	}()
 	c := wc.Scoped(rctx, st)
-	if r.Algorithm == AlgoExactSRepair && cfg.approxAfter > 0 {
+	switch {
+	case run != nil:
+		res.Err = run(c, &r, &res)
+	case r.Algorithm == AlgoExactSRepair && cfg.approxAfter > 0:
 		res.Err = exactWithFallback(c, rctx, st, cfg.approxAfter, &r, &res)
-	} else {
+	default:
 		res.Err = algorithms[r.Algorithm].run(c, &r, &res)
 	}
 	return res
@@ -300,7 +305,7 @@ func (st *Stream) Submit(r Request) (int, error) {
 	go func() {
 		defer st.wg.Done()
 		defer st.sv.end()
-		res := st.sv.runRequest(st.sv.ctx, i, r, st.cfg)
+		res := st.sv.runRequest(st.sv.ctx, i, r, st.cfg, nil)
 		// Deliver before releasing the in-flight slot: a completed
 		// request keeps its slot until the consumer reads it (past the
 		// channel buffer), so a slow consumer throttles Submit instead

@@ -37,7 +37,8 @@ func CFDSatisfies(cs []*ConditionalFD, t *Table) bool { return cfd.Satisfies(cs,
 
 // ExactCFDSRepair computes an optimal subset repair under CFDs: unary
 // violators are deleted outright, the remaining pairwise conflicts are
-// resolved by exact minimum-weight vertex cover (size-guarded).
+// resolved by exact minimum-weight vertex cover (size-guarded). A nil
+// table or an empty CFD set is an error, as for ApproxCFDSRepair.
 func ExactCFDSRepair(cs []*ConditionalFD, t *Table) (CFDResult, error) {
 	return std.ExactCFDSRepair(cs, t)
 }
@@ -80,20 +81,26 @@ func ParseConditionalFD(sc *Schema, spec string) (*ConditionalFD, error) {
 // ExactCFDSRepair is the Solver-scoped ExactCFDSRepair: the conflict
 // instance is built on the encoded engine under this solver's budget,
 // arenas, cancellation and stats, and the branch-and-bound cover search
-// honors the solver's deadline.
+// honors the solver's deadline. It runs through the per-request runner
+// behind Solve with AlgoCFDSRepair's input check, so a nil table or an
+// empty CFD set is an error (it used to panic or return the table
+// unrepaired), a panic in the cover search becomes a *PanicError, and
+// WithStats counts the solve like any request.
 func (s *Solver) ExactCFDSRepair(cs []*ConditionalFD, t *Table) (CFDResult, error) {
-	if err := s.begin(); err != nil {
-		return CFDResult{}, err
-	}
-	defer s.end()
-	return cfd.ExactSRepairCtx(s.ctx, cs, t)
+	return s.cfdRepair(cs, t, runExactCFD)
 }
 
 // ApproxCFDSRepair is the Solver-scoped ApproxCFDSRepair on the encoded
 // engine: linear in rows and conflict edges instead of quadratic in
 // rows, with pattern groups fanned across the solver's workers.
 func (s *Solver) ApproxCFDSRepair(cs []*ConditionalFD, t *Table) (CFDResult, error) {
-	res := s.Solve(Request{CFDs: cs, Table: t, Algorithm: AlgoCFDSRepair})
+	return s.cfdRepair(cs, t, nil)
+}
+
+// cfdRepair runs an AlgoCFDSRepair request, with run in place of the
+// row's 2-approximation when set.
+func (s *Solver) cfdRepair(cs []*ConditionalFD, t *Table, run runFunc) (CFDResult, error) {
+	res := s.solve(Request{CFDs: cs, Table: t, Algorithm: AlgoCFDSRepair}, run)
 	if res.Err != nil {
 		return CFDResult{}, res.Err
 	}

@@ -27,7 +27,9 @@ func DenialSatisfies(cs []*DenialConstraint, t *Table) bool {
 }
 
 // ExactDenialSRepair computes an optimal S-repair under binary denial
-// constraints (exponential baseline; APX-hard already for FDs).
+// constraints (exponential baseline; APX-hard already for FDs). A nil
+// table or an empty constraint set is an error, as for
+// ApproxDenialSRepair.
 func ExactDenialSRepair(cs []*DenialConstraint, t *Table) (*Table, float64, error) {
 	return std.ExactDenialSRepair(cs, t)
 }
@@ -41,17 +43,15 @@ func ApproxDenialSRepair(cs []*DenialConstraint, t *Table) (*Table, float64, err
 // ExactDenialSRepair is the Solver-scoped ExactDenialSRepair: conflicts
 // are found on the encoded engine (per-column compiled keys, constraint
 // units fanned across the solver's workers) and the branch-and-bound
-// cover search honors the solver's deadline.
+// cover search honors the solver's deadline. It runs through the
+// per-request runner behind Solve with AlgoDenialSRepair's input check,
+// so a nil table or an empty constraint set is an error (it used to
+// panic or return the table unrepaired), a panic in the cover search
+// becomes a *PanicError, and WithStats counts the solve like any
+// request.
 func (sv *Solver) ExactDenialSRepair(cs []*DenialConstraint, t *Table) (*Table, float64, error) {
-	if err := sv.begin(); err != nil {
-		return nil, 0, err
-	}
-	defer sv.end()
-	s, err := denial.ExactSRepairCtx(sv.ctx, cs, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, DistSub(s, t), nil
+	res := sv.solve(Request{Denial: cs, Table: t, Algorithm: AlgoDenialSRepair}, runExactDenial)
+	return res.Table, res.Cost, res.Err
 }
 
 // ApproxDenialSRepair is the Solver-scoped ApproxDenialSRepair on the

@@ -121,3 +121,54 @@ func TestCFDFacade(t *testing.T) {
 		t.Fatal("approx repair violates")
 	}
 }
+
+// TestExactConstraintRepairInputChecks: the exact CFD and denial
+// repairs check their inputs like their Approx twins, package-level and
+// Solver-scoped alike — a nil table or an empty constraint set is the
+// twin's error, not a panic or the input returned unrepaired — and a
+// WithStats Solver counts their solves.
+func TestExactConstraintRepairInputChecks(t *testing.T) {
+	sc := MustSchema("R", "A", "B")
+	tab := NewTable(sc)
+	tab.MustInsert(1, Tuple{"a", "b1"}, 1)
+	tab.MustInsert(2, Tuple{"a", "b2"}, 1)
+	c, err := ParseConditionalFD(sc, "A -> B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := ParseDenial(sc, "t1.A = t2.A & t1.B != t2.B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfds, dcs := []*ConditionalFD{c}, []*DenialConstraint{dc}
+	sv := NewSolver(WithStats())
+	errOf := func(_ any, err error) error { return err }
+	errOf3 := func(_ *Table, _ float64, err error) error { return err }
+	for _, tc := range []struct {
+		name          string
+		exact, approx error
+	}{
+		{"cfd/nil-table", errOf(ExactCFDSRepair(cfds, nil)), errOf(ApproxCFDSRepair(cfds, nil))},
+		{"cfd/no-cfds", errOf(ExactCFDSRepair(nil, tab)), errOf(ApproxCFDSRepair(nil, tab))},
+		{"cfd/solver/nil-table", errOf(sv.ExactCFDSRepair(cfds, nil)), errOf(sv.ApproxCFDSRepair(cfds, nil))},
+		{"cfd/solver/no-cfds", errOf(sv.ExactCFDSRepair(nil, tab)), errOf(sv.ApproxCFDSRepair(nil, tab))},
+		{"denial/nil-table", errOf3(ExactDenialSRepair(dcs, nil)), errOf3(ApproxDenialSRepair(dcs, nil))},
+		{"denial/no-constraints", errOf3(ExactDenialSRepair(nil, tab)), errOf3(ApproxDenialSRepair(nil, tab))},
+		{"denial/solver/nil-table", errOf3(sv.ExactDenialSRepair(dcs, nil)), errOf3(sv.ApproxDenialSRepair(dcs, nil))},
+		{"denial/solver/no-constraints", errOf3(sv.ExactDenialSRepair(nil, tab)), errOf3(sv.ApproxDenialSRepair(nil, tab))},
+	} {
+		if tc.exact == nil || tc.approx == nil || tc.exact.Error() != tc.approx.Error() {
+			t.Errorf("%s: exact error %v, approx error %v: want the same error", tc.name, tc.exact, tc.approx)
+		}
+	}
+	sv.ResetStats()
+	if _, err := sv.ExactCFDSRepair(cfds, tab); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sv.ExactDenialSRepair(dcs, tab); err != nil {
+		t.Fatal(err)
+	}
+	if st := sv.Stats(); st.CFDPatterns == 0 || st.DenialPredicates == 0 {
+		t.Fatalf("exact solves left no per-request stats: %+v", st)
+	}
+}

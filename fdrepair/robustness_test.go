@@ -218,14 +218,19 @@ func TestSolverClose(t *testing.T) {
 	sv := NewSolver(WithParallelism(2))
 	var solveErr error
 	var wg sync.WaitGroup
+	// The solve's first block stalls, so the solve is in flight, not
+	// merely started, when Close begins.
+	failpoint.Enable(failpoint.SlowBlock, failpoint.Spec{Count: 1, Sleep: 20 * time.Millisecond})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		_, _, solveErr = sv.OptimalSRepair(ds, tab)
 	}()
+	for i := 0; failpoint.Fires(failpoint.SlowBlock) == 0 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+	}
 	// Close must wait for the in-flight solve and then report a clean
 	// quiesce.
-	time.Sleep(time.Millisecond)
 	if err := sv.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

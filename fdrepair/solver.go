@@ -198,12 +198,16 @@ func (s *Solver) ResetStats() { s.stats.Reset() }
 // panic isolation — but not through the batch fan-out, so it counts no
 // extra inline block. The Solver methods and the package-level
 // functions are Solve calls on a fixed Algorithm.
-func (s *Solver) Solve(r Request) BatchResult {
+func (s *Solver) Solve(r Request) BatchResult { return s.solve(r, nil) }
+
+// solve is Solve with an optional run func in place of the algorithm's
+// (see runRequest).
+func (s *Solver) solve(r Request, run runFunc) BatchResult {
 	if err := s.begin(); err != nil {
 		return BatchResult{Err: err}
 	}
 	defer s.end()
-	return s.runRequest(s.ctx, 0, r, batchConfig{})
+	return s.runRequest(s.ctx, 0, r, batchConfig{}, run)
 }
 
 // fdRepair runs an FD-set algorithm that yields a table and its cost.

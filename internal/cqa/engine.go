@@ -25,15 +25,11 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/enumerate"
 	"repro/internal/fd"
 	"repro/internal/solve"
 	"repro/internal/table"
 )
-
-// maxComponentVertices bounds one conflict component's size for
-// enumeration (the bitset Bron–Kerbosch uses one word), mirroring
-// enumerate.MaxEnumVertices — but per component, not per table.
-const maxComponentVertices = 64
 
 // matches reports whether the row passes every filter.
 func (q *Query) matches(tup table.Tuple) bool {
@@ -47,60 +43,28 @@ func (q *Query) matches(tup table.Tuple) bool {
 
 // componentAnswers enumerates one component's maximal independent sets
 // and returns the projection keys produced by every one of them (the
-// component's certain contribution) plus the set count. members are row
-// positions; adj[i] is a bitset over member ordinals; produced[i] is
-// the member's answer key ("" when the member fails the filters).
-func componentAnswers(members []int32, adj []uint64, produced []string) (certain map[string]bool, count int) {
-	n := len(members)
-	full := uint64(1)<<uint(n) - 1
-	if n == 64 {
-		full = ^uint64(0)
-	}
-	compat := make([]uint64, n)
-	for i := range compat {
-		compat[i] = full &^ (1 << uint(i)) &^ adj[i]
-	}
-	var bk func(r, p, x uint64)
-	bk = func(r, p, x uint64) {
-		if p == 0 && x == 0 {
-			count++
-			keys := map[string]bool{}
-			for m := r; m != 0; m &= m - 1 {
-				if k := produced[bits.TrailingZeros64(m)]; k != "" {
-					keys[k] = true
-				}
+// component's certain contribution) plus the set count. adj[i] is a
+// bitset over member ordinals; produced[i] is the member's answer key
+// ("" when the member fails the filters).
+func componentAnswers(adj []uint64, produced []string) (certain map[string]bool, count int) {
+	enumerate.MaximalIndependentSets(adj, func(set uint64) {
+		count++
+		keys := map[string]bool{}
+		for m := set; m != 0; m &= m - 1 {
+			if k := produced[bits.TrailingZeros64(m)]; k != "" {
+				keys[k] = true
 			}
-			if certain == nil {
-				certain = keys
-				return
-			}
-			for k := range certain {
-				if !keys[k] {
-					delete(certain, k)
-				}
-			}
+		}
+		if certain == nil {
+			certain = keys
 			return
 		}
-		pivot, best := -1, -1
-		for m := p | x; m != 0; m &= m - 1 {
-			v := bits.TrailingZeros64(m)
-			if d := bits.OnesCount64(p & compat[v]); d > best {
-				pivot, best = v, d
+		for k := range certain {
+			if !keys[k] {
+				delete(certain, k)
 			}
 		}
-		cand := p
-		if pivot >= 0 {
-			cand = p &^ compat[pivot]
-		}
-		for m := cand; m != 0; m &= m - 1 {
-			v := bits.TrailingZeros64(m)
-			vb := uint64(1) << uint(v)
-			bk(r|vb, p&compat[v], x&compat[v])
-			p &^= vb
-			x |= vb
-		}
-	}
-	bk(0, full, 0)
+	})
 	return certain, count
 }
 
@@ -193,8 +157,8 @@ func ConsistentAnswersCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, q *Query) (*
 		comps[ci] = append(comps[ci], ri)
 	}
 	for _, comp := range comps {
-		if len(comp) > maxComponentVertices {
-			return nil, fmt.Errorf("cqa: conflict component with %d tuples exceeds the %d-tuple enumeration bound", len(comp), maxComponentVertices)
+		if len(comp) > enumerate.MaxEnumVertices {
+			return nil, fmt.Errorf("cqa: conflict component with %d tuples exceeds the %d-tuple enumeration bound", len(comp), enumerate.MaxEnumVertices)
 		}
 	}
 	// Per-component adjacency bitsets over member ordinals.
@@ -231,7 +195,7 @@ func ConsistentAnswersCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, q *Query) (*
 			for o, ri := range comps[i] {
 				keys[o] = produced[ri]
 			}
-			cert, count := componentAnswers(comps[i], adjs[i], keys)
+			cert, count := componentAnswers(adjs[i], keys)
 			results[i] = compResult{certain: cert, count: count}
 			return nil
 		})

@@ -47,37 +47,44 @@ func SubsetRepairs(ds *fd.Set, t *table.Table, limit int) ([]*table.Table, int, 
 	for i, id := range ids {
 		index[id] = i
 	}
-	// Complement-of-conflict adjacency: bit j set in compat[i] iff i and
-	// j do NOT conflict (i ≠ j).
-	full := uint64(1)<<uint(n) - 1
-	if n == 64 {
-		full = ^uint64(0)
-	}
-	compat := make([]uint64, n)
-	for i := range compat {
-		compat[i] = full &^ (1 << uint(i))
-	}
+	adj := make([]uint64, n)
 	for _, e := range t.ConflictGraph(ds) {
 		i, j := index[e.ID1], index[e.ID2]
-		compat[i] &^= 1 << uint(j)
-		compat[j] &^= 1 << uint(i)
+		adj[i] |= 1 << uint(j)
+		adj[j] |= 1 << uint(i)
 	}
-	// Bron–Kerbosch with pivoting over the compatibility graph: maximal
-	// cliques of compat = maximal independent sets of the conflict graph
-	// = subset repairs.
 	var out []*table.Table
 	count := 0
+	MaximalIndependentSets(adj, func(set uint64) {
+		count++
+		if limit <= 0 || len(out) < limit {
+			var keep []int
+			for m := set; m != 0; m &= m - 1 {
+				keep = append(keep, ids[bits.TrailingZeros64(m)])
+			}
+			out = append(out, t.MustSubsetByIDs(keep))
+		}
+	})
+	return out, count, nil
+}
+
+// MaximalIndependentSets calls visit once per maximal independent set
+// of the graph on len(adj) ≤ MaxEnumVertices vertices, where bit j of
+// adj[i] is set iff i and j are adjacent. Each set is a bitset over
+// vertex ordinals. The sets are the maximal cliques of the complement
+// graph, found by Bron–Kerbosch with pivoting; the visiting order is a
+// function of adj alone.
+func MaximalIndependentSets(adj []uint64, visit func(set uint64)) {
+	n := len(adj)
+	full := uint64(1)<<uint(n) - 1 // all ones at n = 64: the shift yields 0
+	compat := make([]uint64, n)
+	for i := range compat {
+		compat[i] = full &^ (1 << uint(i)) &^ adj[i]
+	}
 	var bk func(r, p, x uint64)
 	bk = func(r, p, x uint64) {
 		if p == 0 && x == 0 {
-			count++
-			if limit <= 0 || len(out) < limit {
-				var keep []int
-				for m := r; m != 0; m &= m - 1 {
-					keep = append(keep, ids[bits.TrailingZeros64(m)])
-				}
-				out = append(out, t.MustSubsetByIDs(keep))
-			}
+			visit(r)
 			return
 		}
 		// Pivot: vertex of p∪x with most neighbours in p.
@@ -101,7 +108,6 @@ func SubsetRepairs(ds *fd.Set, t *table.Table, limit int) ([]*table.Table, int, 
 		}
 	}
 	bk(0, full, 0)
-	return out, count, nil
 }
 
 // CountChain counts the subset repairs of t under a chain FD set in

@@ -131,6 +131,25 @@ func TestSubsetRepairsEmptyTable(t *testing.T) {
 	}
 }
 
+// TestMaximalIndependentSetsFullWord: at the 64-vertex bound an
+// edgeless graph has one maximal independent set, every bit of the
+// word, and one edge splits it into the two sets that each drop one
+// endpoint.
+func TestMaximalIndependentSetsFullWord(t *testing.T) {
+	adj := make([]uint64, MaxEnumVertices)
+	var sets []uint64
+	MaximalIndependentSets(adj, func(set uint64) { sets = append(sets, set) })
+	if len(sets) != 1 || sets[0] != ^uint64(0) {
+		t.Fatalf("edgeless 64-vertex graph: sets %x, want [ffffffffffffffff]", sets)
+	}
+	adj[0], adj[63] = 1<<63, 1
+	sets = nil
+	MaximalIndependentSets(adj, func(set uint64) { sets = append(sets, set) })
+	if len(sets) != 2 || sets[0]|sets[1] != ^uint64(0) || sets[0]&sets[1] != ^uint64(0)&^(1|1<<63) {
+		t.Fatalf("one edge 0–63: sets %x", sets)
+	}
+}
+
 func TestSubsetRepairsTooLarge(t *testing.T) {
 	ds := fd.MustParseSet(rABC, "A -> B")
 	tab := workload.RandomTable(rABC, MaxEnumVertices+1, 3, rand.New(rand.NewSource(1)))

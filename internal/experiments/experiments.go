@@ -1,9 +1,8 @@
 // Package experiments implements the paper-reproduction harness: one
-// runner per table/figure/worked-example of the paper (see DESIGN.md §3
-// for the experiment index E1–E11). Each runner returns a formatted
-// report comparing the paper's claim with the measured outcome;
-// cmd/paperbench prints them, EXPERIMENTS.md records them, and the
-// root-level benchmarks time them.
+// runner per table/figure/worked-example of the paper, E1–E11, listed
+// by `paperbench -list`. Each runner returns a formatted report
+// comparing the paper's claim with the measured outcome; cmd/paperbench
+// prints them and the root-level benchmarks time them.
 package experiments
 
 import (
@@ -48,7 +47,7 @@ func boolMark(ok bool) string {
 	return "✗"
 }
 
-// Runner is one experiment: an id (DESIGN.md §3), the paper artifact it
+// Runner is one experiment: an id (E1–E11), the paper artifact it
 // regenerates, and the function producing the report.
 type Runner struct {
 	ID       string

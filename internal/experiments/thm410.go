@@ -20,7 +20,8 @@ import (
 //     size).
 //
 // It also shows the companion S-repair identity |E| + vc(G) of the
-// ∆A→B→C subset gadget (our verified substitution, DESIGN.md §4).
+// ∆A→B→C subset gadget (this repository's substitute for the MAX-2-SAT
+// reduction the paper cites; see reduction.VCSubsetGadget).
 func RunThm410(seed int64) (string, error) {
 	rng := rand.New(rand.NewSource(seed))
 	r := newReport("E6", "Theorem 4.10 — vertex-cover gadgets")

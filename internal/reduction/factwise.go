@@ -8,7 +8,7 @@
 //   - the gadget reductions used for the base sets: vertex cover →
 //     ∆A↔B→C updates (Theorem 4.10), vertex cover → {A→B, B→C} subsets
 //     (a verified substitution for the unspecified MAX-2-SAT reduction
-//     of Gribkoff et al., see DESIGN.md), MAX-non-mixed-SAT → ∆AB→C→B
+//     of Gribkoff et al.), MAX-non-mixed-SAT → ∆AB→C→B
 //     (Lemma A.13), triangle packing → ∆AB↔AC↔BC (Lemma A.11), and the
 //     ∆k / ∆′k liftings of Lemmas B.6 and B.7.
 package reduction

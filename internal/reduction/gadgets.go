@@ -76,7 +76,7 @@ func vertexName(v int) string { return fmt.Sprintf("n%d", v) }
 // VCSubsetGadget reduces vertex cover to optimal S-repairs under
 // ∆A→B→C = {A → B, B → C}. This construction is ours (the MAX-2-SAT
 // reduction of Gribkoff et al. is cited but not spelled out in the
-// paper; see DESIGN.md §4): every vertex v yields a tuple (v, v, 1);
+// paper): every vertex v yields a tuple (v, v, 1);
 // every edge e = {u, v} yields gadget tuples (g_e, u, 0) and
 // (g_e, v, 0). The two gadget tuples of an edge conflict with each
 // other (A → B), and the gadget tuple pointing at a vertex conflicts

@@ -73,8 +73,9 @@ func approx2MLCCtx(c *solve.Ctx, ds *fd.Set, t *table.Table) (*table.Table, floa
 // klPassBudgetFactor bounds the number of majority-chase passes.
 const klPassBudgetFactor = 3
 
-// KLHeuristic is a Kolahi–Lakshmanan-style update heuristic
-// (substitution documented in DESIGN.md §4): it repeatedly resolves
+// KLHeuristic is a Kolahi–Lakshmanan-style update heuristic (a
+// stand-in written for this repository, not a port of their
+// algorithm): it repeatedly resolves
 // each violated FD X → Y by overwriting, within every X-group, the
 // disagreeing right-hand sides with the group's weighted-majority
 // value; if the chase does not converge it falls back to freshening
