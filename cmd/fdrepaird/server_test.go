@@ -148,6 +148,8 @@ func TestSolveBadRequests(t *testing.T) {
 		{"prefer unknown id", url.Values{"fd": {"A -> B"}, "algo": {"priority"}, "prefer": {"1>99"}}.Encode(), conflicted},
 		{"prefer non-conflicting", url.Values{"fd": {"A -> B"}, "algo": {"priority"}, "prefer": {"1>3"}}.Encode(), conflicted},
 		{"prefer cycle", url.Values{"fd": {"A -> B"}, "algo": {"priority"}, "prefer": {"1>2", "2>1"}}.Encode(), conflicted},
+		{"NaN weight", url.Values{"fd": {"A -> B"}}.Encode(), "id,A,B,w\n1,a,x,NaN\n2,b,y,1\n"},
+		{"+Inf weight", url.Values{"fd": {"A -> B"}}.Encode(), "id,A,B,w\n1,a,x,+Inf\n2,b,y,1\n"},
 	} {
 		resp := postSolve(t, ts, tc.query, "", tc.body)
 		readAll(t, resp)
@@ -155,8 +157,8 @@ func TestSolveBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
-	if got := checkOutcomes(t, ts); got["rejected"] != 8 {
-		t.Fatalf("rejected = %d, want 8", got["rejected"])
+	if got := checkOutcomes(t, ts); got["rejected"] != 10 {
+		t.Fatalf("rejected = %d, want 10", got["rejected"])
 	}
 }
 

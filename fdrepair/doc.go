@@ -85,15 +85,24 @@
 // the caller passes. CSV ingestion — ReadCSV, or any path that loads
 // files or request bodies — streams through a chunked builder
 // (table.IngestCSV) that never materializes the raw string form of
-// the table: each cell is parsed from a reusable byte buffer, looked
-// up in the per-attribute dictionary without allocating, and stored
-// as an int32 code in a column chunk. Only the first occurrence of a
+// the table: each row is parsed from a reusable byte buffer and
+// validated, and its cells are copied into a batch (256 rows while
+// the first 65,280 arrive, 4,096 after). A full batch is interned
+// column by column: each cell is looked up in its attribute's
+// dictionary without allocating and stored as an int32 code in a
+// column chunk, and the tuples' strings are filled in from the
+// dictionaries when ingestion ends. Only the first occurrence of a
 // distinct value allocates a string; every later occurrence shares
-// it. Transient memory is O(chunk + dictionary), so peak heap while
-// loading a table tracks the encoded size (int32 columns plus one
-// string per distinct value), not the CSV size — the property that
-// makes 10M-row inputs loadable under a GOMEMLIMIT a tuple-at-a-time
-// reader cannot satisfy.
+// it. Past the first 65,280 rows, with GOMAXPROCS
+// above 1, each column of a batch is interned on its own goroutine
+// while the next batch is parsed; codes still follow first appearance,
+// and ReadCSV returns only after those goroutines end. Transient
+// memory is O(chunk + batch + dictionary), so peak heap while loading
+// a table tracks the encoded size (int32 columns plus one string per
+// distinct value), not the CSV size — the property that makes 10M-row
+// inputs loadable under a GOMEMLIMIT a tuple-at-a-time reader cannot
+// satisfy. Weights must be positive and finite; NaN and ±Inf are
+// refused at ingest.
 //
 // Chunks grow with the input: the first holds 256 rows and each later
 // one twice the previous, up to 65,536 rows. A small table therefore

@@ -34,7 +34,7 @@ type selector struct {
 // regexes: each maps to a suite the optimality or robustness contract
 // depends on.
 var sentinels = []string{
-	"Cancel", "Scope", "Sticky", "Stream", "Batch", "Steal", // lifecycle
+	"Cancel", "Scope", "Sticky", "Stream", "Batch", "Steal", "Ingest", // lifecycle
 	"Panic", "Failpoint", "Close", "Drain", "Shed", "Deadline", // chaos
 }
 

@@ -23,12 +23,17 @@ func ReadCSV(r io.Reader, relationName string) (*Table, error) {
 }
 
 // IngestCSV reads a table from CSV by streaming it through a
-// ChunkedBuilder: every cell is interned into the per-attribute
-// dictionary as it is scanned (one string allocation per distinct
-// value, a map lookup per repeated one), column codes accumulate in
-// chunks that grow from firstChunkRows to chunkRows rows, and the
-// finished table is published with its dictionary encoding already
-// built. The output is identical to the buffered seed path
+// ChunkedBuilder: each row is validated as it is scanned and its cells
+// are copied into a batch, and each batch is interned column by column
+// into the per-attribute dictionaries (one string allocation per
+// distinct value, a map lookup per repeated one); column codes
+// accumulate in chunks that grow from firstChunkRows to chunkRows rows,
+// and the finished table is published with its dictionary encoding
+// already built. Past the first rampRows (65,280) rows, with
+// GOMAXPROCS > 1, each column of a batch is interned on its own
+// goroutine while the next batch is scanned; IngestCSV returns only
+// after every goroutine it started has finished, on success and on
+// error. The output is identical to the buffered seed path
 // (ReadCSVBuffered) on every input, error cases included; only the
 // allocation profile differs.
 //
@@ -64,6 +69,7 @@ func IngestCSV(r io.Reader, relationName string) (*Table, error) {
 		return nil, err
 	}
 	b := NewChunkedBuilder(sc)
+	defer b.wg.Wait() // an error return may leave a batch in flight
 	cells := make([][]byte, len(attrCols))
 	for s.Scan() {
 		for i, c := range attrCols {
@@ -216,11 +222,13 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
+	// csv.Writer.Write does not retain the record, so one serves every
+	// row.
+	rec := make([]string, len(header))
 	for _, r := range t.rows {
-		rec := make([]string, 0, len(header))
-		rec = append(rec, strconv.Itoa(r.ID))
-		rec = append(rec, r.Tuple...)
-		rec = append(rec, strconv.FormatFloat(r.Weight, 'g', -1, 64))
+		rec[0] = strconv.Itoa(r.ID)
+		copy(rec[1:], r.Tuple)
+		rec[len(rec)-1] = strconv.FormatFloat(r.Weight, 'g', -1, 64)
 		if err := cw.Write(rec); err != nil {
 			return err
 		}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/schema"
 )
@@ -413,6 +415,119 @@ func TestChunkedBuilderBoundaries(t *testing.T) {
 	}
 }
 
+// batchEdgeCSV renders n rows over arity attributes with id and w
+// columns. Column values keep appearing for the first time in every
+// batch, so code order across batch boundaries is checked. Rows within
+// two of a batch boundary past the ramp carry quoted cells with
+// embedded commas and newlines; when ooo > 0, row ooo carries the
+// unused identifier 3, below the watermark.
+func batchEdgeCSV(n, arity, ooo int) string {
+	var sb strings.Builder
+	sb.WriteString("id")
+	for a := 0; a < arity; a++ {
+		fmt.Fprintf(&sb, ",A%d", a)
+	}
+	sb.WriteString(",w\n")
+	for i := 0; i < n; i++ {
+		id := 2 * (i + 1)
+		if ooo > 0 && i == ooo {
+			id = 3
+		}
+		fmt.Fprintf(&sb, "%d", id)
+		edge := i >= rampRows-2 && (i-rampRows+2)%batchRows < 4
+		for a := 0; a < arity; a++ {
+			v := []int{i / 3, i % 13, (i * 7919) % 50021}[a%3]
+			if edge && a%3 != 1 {
+				fmt.Fprintf(&sb, ",\"q%d,%d\n%d\"", v, a, i%2)
+			} else {
+				fmt.Fprintf(&sb, ",%d:%d", a, v)
+			}
+		}
+		fmt.Fprintf(&sb, ",%d\n", 1+i%3)
+	}
+	return sb.String()
+}
+
+// TestIngestBatchesMatchBuffered pins IngestCSV against the seed reader
+// on both sides of the ramp and several batches past it, where batches
+// are interned on one goroutine per column when GOMAXPROCS > 1 (or
+// maxInternGoroutines striped goroutines, for a wider table): rows, the
+// watermark and every singleton and full-set code must agree, at
+// GOMAXPROCS 1 and 4, with quoted multi-line cells around every batch
+// boundary and an out-of-order identifier after the ramp.
+func TestIngestBatchesMatchBuffered(t *testing.T) {
+	const big = 140000
+	for _, tc := range []struct{ arity, n, ooo int }{
+		{1, rampRows, 0},
+		{1, rampRows + 1, 0},
+		{1, big, rampRows + 3*batchRows + 5},
+		{3, rampRows, 0},
+		{3, rampRows + 1, 0},
+		{3, big, rampRows + 3*batchRows + 5},
+		{maxInternGoroutines + 4, rampRows + 2*batchRows + 7, 0},
+	} {
+		in := batchEdgeCSV(tc.n, tc.arity, tc.ooo)
+		want, err := ReadCSVBuffered(strings.NewReader(in), "R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := IngestCSV(strings.NewReader(in), "R")
+			runtime.GOMAXPROCS(prev)
+			name := fmt.Sprintf("arity %d, %d rows, out-of-order row %d, GOMAXPROCS %d", tc.arity, tc.n, tc.ooo, procs)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ingestTablesEqual(t, got, want, name)
+		}
+	}
+}
+
+// TestIngestBatchErrors places each kind of bad row after the first
+// full-size batch has been handed to its goroutines: IngestCSV must
+// return the seed reader's error string (the inputs have no blank lines
+// or multi-line fields, so both count lines alike) and leave no
+// goroutine behind, at GOMAXPROCS 1 and 4.
+func TestIngestBatchErrors(t *testing.T) {
+	at := rampRows + batchRows + 100
+	prefix := chunkEdgeCSV(at, 0, 0)
+	id := 2 * (at + 1)
+	for _, tc := range []struct{ name, row string }{
+		{"bad weight", fmt.Sprintf("%d,x,y,z,zero", id)},
+		{"NaN weight", fmt.Sprintf("%d,x,y,z,NaN", id)},
+		{"bad id", "nope,x,y,z,1"},
+		{"duplicate id", "2,x,y,z,1"},
+		{"reserved value", fmt.Sprintf("%d,x,\x00q,z,1", id)},
+		{"field count", fmt.Sprintf("%d,x,y", id)},
+		{"bare quote", fmt.Sprintf("%d,x\"q,y,z,1", id)},
+	} {
+		in := prefix + tc.row + "\n" + chunkEdgeCSV(10, 0, 0)[len("id,A,B,C,w\n"):]
+		_, werr := ReadCSVBuffered(strings.NewReader(in), "R")
+		if werr == nil {
+			t.Fatalf("%s: the seed reader accepted the input", tc.name)
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			base := runtime.NumGoroutine()
+			_, gerr := IngestCSV(strings.NewReader(in), "R")
+			runtime.GOMAXPROCS(prev)
+			if gerr == nil || gerr.Error() != werr.Error() {
+				t.Errorf("%s, GOMAXPROCS %d: ingest=%v, buffered=%v", tc.name, procs, gerr, werr)
+			}
+			// A goroutine that has called Done may take a moment to
+			// exit; one that outlives the call for good fails here.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%s, GOMAXPROCS %d: %d goroutines before IngestCSV, %d after", tc.name, procs, base, n)
+			}
+		}
+	}
+}
+
 // FuzzChunkedBuilder is the differential fuzz target for the streaming
 // ingestion path: on arbitrary input, IngestCSV must agree with the
 // seed ReadCSVBuffered — same accept/reject outcome, identical tables
@@ -429,6 +544,7 @@ func FuzzChunkedBuilder(f *testing.F) {
 	f.Add("A,B\nx\n")
 	f.Add("A\n\"open\n")
 	f.Add("id,w\n1,2\n")
+	f.Add("id,A,w\n1,x,NaN\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, in string) {
 		want, werr := ReadCSVBuffered(strings.NewReader(in), "F")

@@ -1,13 +1,14 @@
 // Package table implements the paper's data model: a single table whose
-// tuples carry identifiers and positive weights. Duplicate tuples (with
-// distinct identifiers) are allowed. The package provides consistency
-// checking against FD sets, FD-violation enumeration, conflict graphs,
-// the two repair distances dist_sub and dist_upd, and builders for
-// subsets and updates.
+// tuples carry identifiers and positive finite weights. Duplicate
+// tuples (with distinct identifiers) are allowed. The package provides
+// consistency checking against FD sets, FD-violation enumeration,
+// conflict graphs, the two repair distances dist_sub and dist_upd, and
+// builders for subsets and updates.
 package table
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -123,13 +124,14 @@ func (t *Table) Schema() *schema.Schema { return t.sc }
 // Len returns |T|, the number of tuple identifiers.
 func (t *Table) Len() int { return len(t.rows) }
 
-// Insert adds a tuple with an explicit identifier and weight.
+// Insert adds a tuple with an explicit identifier and a positive
+// finite weight.
 func (t *Table) Insert(id int, tup Tuple, weight float64) error {
 	if len(tup) != t.sc.Arity() {
 		return fmt.Errorf("table: tuple arity %d does not match schema %s", len(tup), t.sc)
 	}
-	if weight <= 0 {
-		return fmt.Errorf("table: tuple %d has non-positive weight %v", id, weight)
+	if err := checkWeight(id, weight); err != nil {
+		return err
 	}
 	idx := t.index()
 	if _, dup := idx[id]; dup {
@@ -147,6 +149,16 @@ func (t *Table) Insert(id int, tup Tuple, weight float64) error {
 	}
 	t.invalidate()
 	return nil
+}
+
+// checkWeight is the weight rule of Insert, AppendRows and
+// ChunkedBuilder.Append: positive and finite. NaN and +Inf would pass a
+// plain w > 0 test, and no repair cost over them compares equal.
+func checkWeight(id int, w float64) error {
+	if w > 0 && !math.IsInf(w, 1) {
+		return nil
+	}
+	return fmt.Errorf("table: tuple %d has weight %v, not a positive finite number", id, w)
 }
 
 // MustInsert is Insert that panics on error; for tests and fixed data.
@@ -167,11 +179,11 @@ func (t *Table) Append(tup Tuple, weight float64) (int, error) {
 // AppendRows bulk-appends one row per tuple, with consecutive fresh
 // identifiers from the high-watermark, and returns the first assigned
 // identifier. weights is either nil (every weight 1) or one positive
-// weight per tuple. Validation is all-or-nothing: on error the table
-// is unchanged. Compared to a loop of Insert/Append calls, the row
-// slice is grown once, and the cached encoding is invalidated once at
-// the end instead of per row — workload generators building tables of
-// 10⁵+ rows should hand their rows over in one call.
+// finite weight per tuple. Validation is all-or-nothing: on error the
+// table is unchanged. Compared to a loop of Insert/Append calls, the
+// row slice is grown once, and the cached encoding is invalidated once
+// at the end instead of per row — workload generators building tables
+// of 10⁵+ rows should hand their rows over in one call.
 func (t *Table) AppendRows(tuples []Tuple, weights []float64) (int, error) {
 	first, err := t.appendRows(tuples, weights)
 	if err != nil {
@@ -192,8 +204,10 @@ func (t *Table) appendRows(tuples []Tuple, weights []float64) (int, error) {
 		if len(tup) != t.sc.Arity() {
 			return 0, fmt.Errorf("table: tuple %d arity %d does not match schema %s", i, len(tup), t.sc)
 		}
-		if weights != nil && weights[i] <= 0 {
-			return 0, fmt.Errorf("table: tuple %d has non-positive weight %v", i, weights[i])
+		if weights != nil {
+			if err := checkWeight(i, weights[i]); err != nil {
+				return 0, err
+			}
 		}
 		for _, v := range tup {
 			if strings.HasPrefix(v, "\x00") && !strings.HasPrefix(v, freshPrefix) {
@@ -427,7 +441,15 @@ func (u *Table) IsUpdateOf(t *Table) bool {
 
 // DistSub returns dist_sub(s, t): the weight of the tuples of t missing
 // from the subset s. It panics if s is not a subset of t.
+//
+// When s lists its rows in t's order, as every engine's kept-position
+// result does, one walk of both row lists by id proves the subset and
+// sums the deleted weights; otherwise the id maps of IsSubsetOf and Has
+// do. Both paths sum in t's order, so their results are bit-identical.
 func DistSub(s, t *Table) float64 {
+	if sum, ok := distSubInOrder(s, t); ok {
+		return sum
+	}
 	if !s.IsSubsetOf(t) {
 		panic("table: DistSub of a non-subset")
 	}
@@ -438,6 +460,27 @@ func DistSub(s, t *Table) float64 {
 		}
 	}
 	return sum
+}
+
+// distSubInOrder is DistSub's walk: each row of s must match the next
+// row of t with its id, with an equal tuple and weight. ok is false
+// when that fails — s is not in t's order, or not a subset at all.
+func distSubInOrder(s, t *Table) (sum float64, ok bool) {
+	if !s.sc.SameAs(t.sc) {
+		return 0, false
+	}
+	k := 0
+	for _, r := range t.rows {
+		if k < len(s.rows) && s.rows[k].ID == r.ID {
+			if sr := s.rows[k]; !sr.Tuple.Equal(r.Tuple) || !weightEq(sr.Weight, r.Weight) {
+				return 0, false
+			}
+			k++
+			continue
+		}
+		sum += r.Weight
+	}
+	return sum, k == len(s.rows)
 }
 
 // DistUpd returns dist_upd(u, t): the weighted Hamming distance between

@@ -1,6 +1,9 @@
 package table
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -307,6 +310,81 @@ func TestDistPanics(t *testing.T) {
 		}()
 		DistUpd(other, tab)
 	}()
+}
+
+// TestDistSubWalkMatchesIDPath pins DistSub's in-order walk to its
+// id-map path: a subset listed in the table's order takes the walk, the
+// same rows shuffled take the maps, and the two costs must be equal bit
+// for bit. Every non-subset — by tuple, weight, unknown id or schema,
+// each listed in the table's order so the walk is what must catch it —
+// panics.
+func TestDistSubWalkMatchesIDPath(t *testing.T) {
+	sc := schema.MustNew("R", "A", "B")
+	tab := New(sc)
+	// Weights whose float sum depends on the order of the additions.
+	ws := []float64{0.1, 1e16, 0.3, 1, 1e-3, 7.25, 3e-8, 2.5e15}
+	for i := 0; i < 200; i++ {
+		tab.MustInsert(3*i+1, Tuple{strconv.Itoa(i % 7), strconv.Itoa(i % 5)}, ws[i%len(ws)])
+	}
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 50; iter++ {
+		var rows []Row
+		for _, r := range tab.Rows() {
+			if rng.Intn(3) > 0 {
+				rows = append(rows, r)
+			}
+		}
+		s, p := New(sc), New(sc)
+		for _, r := range rows {
+			s.MustInsert(r.ID, r.Tuple, r.Weight)
+		}
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		for _, r := range rows {
+			p.MustInsert(r.ID, r.Tuple, r.Weight)
+		}
+		if _, ok := distSubInOrder(s, tab); !ok {
+			t.Fatalf("iteration %d: the walk refused a subset in the table's order", iter)
+		}
+		if _, ok := distSubInOrder(p, tab); ok {
+			t.Fatalf("iteration %d: the walk accepted a shuffled subset", iter)
+		}
+		if walk, ids := DistSub(s, tab), DistSub(p, tab); math.Float64bits(walk) != math.Float64bits(ids) {
+			t.Fatalf("iteration %d: walk %v, id maps %v", iter, walk, ids)
+		}
+	}
+
+	edit := func(f func(r *Row)) *Table {
+		s := New(sc)
+		for i, r := range tab.Rows() {
+			if i%2 == 0 {
+				if i == 40 {
+					r.Tuple = r.Tuple.Clone()
+					f(&r)
+				}
+				s.MustInsert(r.ID, r.Tuple, r.Weight)
+			}
+		}
+		return s
+	}
+	other := New(schema.MustNew("R", "A", "C"))
+	for _, r := range tab.Rows()[:10] {
+		other.MustInsert(r.ID, r.Tuple, r.Weight)
+	}
+	for name, s := range map[string]*Table{
+		"tuple":      edit(func(r *Row) { r.Tuple[1] = "changed" }),
+		"weight":     edit(func(r *Row) { r.Weight += 0.5 }),
+		"unknown id": edit(func(r *Row) { r.ID++ }),
+		"schema":     other,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DistSub of a non-subset by %s did not panic", name)
+				}
+			}()
+			DistSub(s, tab)
+		}()
+	}
 }
 
 func TestStringRendersFresh(t *testing.T) {
