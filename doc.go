@@ -34,7 +34,7 @@
 // into dense int32 value codes, and every attribute-set projection into
 // dense int32 group codes (internal/table/encoding.go). Equal codes ⇔
 // equal projections, so GroupBy, SatisfiesFD, Violations and
-// ConflictGraph compare fixed-width integers instead of building
+// ConflictPairs compare fixed-width integers instead of building
 // length-prefixed string keys per row. The encoding is cached on the
 // table, invalidated by mutation, and built under a mutex so concurrent
 // readers are safe. Bulk loads go through table.AppendRows, which grows

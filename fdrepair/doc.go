@@ -42,7 +42,11 @@
 // join groups, conflict-graph components — fan out across the solver's
 // workers, and every call honors the solver's cancellation, deadline,
 // arenas and stats (the cfd_patterns, denial_predicates, cqa_certain
-// and priority_levels counters). The seed string-tuple engines stay in
+// and priority_levels counters). The 2-approximate engines (CFD,
+// denial and ApproxSRepair) keep their conflict pairs in row positions
+// from the table to the kept rows: Bar-Yehuda–Even runs on the pairs
+// and the row weights as they are, and only the exact search builds an
+// adjacency graph. The seed string-tuple engines stay in
 // internal/{cfd,denial,cqa,priority} only as differential oracles; the
 // differential suites pin the encoded engines byte-identical to them at
 // workers 1, 2, 4 and 8.

@@ -104,3 +104,29 @@ func scalingInput(a Algorithm, n int, rng *rand.Rand) (*Table, map[string][]stri
 	}
 	return tab, params
 }
+
+// TestApproxAllocGuard bounds the allocations of one
+// Solver.ApproxSRepair on serve-mixed's approx shape: 6,400 rows, A, B
+// and C uniform over 800 values, A -> C and B -> C, weights 1–4. The
+// conflict pairs stay row positions from the table's projection codes
+// to the cover and the kept rows, so a solve allocates a few dozen
+// slices; an id map, an adjacency list or a map cover costs an
+// allocation per row or per edge.
+func TestApproxAllocGuard(t *testing.T) {
+	tab, params := scalingInput(AlgoApproxSRepair, 6400, rand.New(rand.NewSource(6400)))
+	ds := MustFDs(tab.Schema(), params["fd"]...)
+	sv := NewSolver()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, _, err := sv.ApproxSRepair(ds, tab); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	got := res.AllocsPerOp()
+	t.Logf("%d allocations, %d B per solve", got, res.AllocedBytesPerOp())
+	if got >= 1000 {
+		t.Errorf("Solver.ApproxSRepair on 6,400 rows makes %d allocations per solve, want under 1,000", got)
+	}
+}

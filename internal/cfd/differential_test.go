@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,51 +86,67 @@ func randomCFDTable(sc *schema.Schema, maxN int, rng *rand.Rand) *table.Table {
 
 func TestDifferentialCFDApprox(t *testing.T) {
 	sc := schema.MustNew("R", "A", "B", "C")
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 30; trial++ {
-		tab := randomCFDTable(sc, 240, rng)
-		cs := randomCFDs(t, sc, tab, rng)
+	check := func(label string, tab *table.Table, cs []*CFD) {
 		want, err := Approx2SRepair(cs, tab)
 		if err != nil {
-			t.Fatalf("trial %d: seed approx: %v", trial, err)
+			t.Fatalf("%s: seed approx: %v", label, err)
 		}
 		for _, w := range diffWorkers {
 			got, err := Approx2SRepairCtx(solve.New(w, nil, nil), cs, tab)
 			if err != nil {
-				t.Fatalf("trial %d workers=%d: encoded approx: %v", trial, w, err)
+				t.Fatalf("%s workers=%d: encoded approx: %v", label, w, err)
 			}
 			if !reflect.DeepEqual(got.Forced, want.Forced) ||
 				got.ForcedCost != want.ForcedCost || got.TotalCost != want.TotalCost {
-				t.Fatalf("trial %d workers=%d: accounting diverges: got %+v, oracle %+v",
-					trial, w, got, want)
+				t.Fatalf("%s workers=%d: accounting diverges: got %+v, oracle %+v",
+					label, w, got, want)
 			}
-			sameTables(t, "approx repair", want.Repair, got.Repair)
+			sameTables(t, label+": approx repair", want.Repair, got.Repair)
 		}
 	}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 30; trial++ {
+		tab := randomCFDTable(sc, 240, rng)
+		check(fmt.Sprintf("trial %d", trial), tab, randomCFDs(t, sc, tab, rng))
+	}
+	tab, cs := shuffledCFDInput(t, sc, 240, 42)
+	check("shuffled ids", tab, cs)
 }
 
 func TestDifferentialCFDExact(t *testing.T) {
 	sc := schema.MustNew("R", "A", "B", "C")
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 30; trial++ {
-		tab := randomCFDTable(sc, 48, rng)
-		cs := randomCFDs(t, sc, tab, rng)
+	check := func(label string, tab *table.Table, cs []*CFD) {
 		want, wantErr := ExactSRepair(cs, tab)
 		for _, w := range diffWorkers {
 			got, err := ExactSRepairCtx(solve.New(w, nil, nil), cs, tab)
 			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("trial %d workers=%d: error mismatch: got %v, oracle %v",
-					trial, w, err, wantErr)
+				t.Fatalf("%s workers=%d: error mismatch: got %v, oracle %v",
+					label, w, err, wantErr)
 			}
 			if wantErr != nil {
 				continue
 			}
 			if !reflect.DeepEqual(got.Forced, want.Forced) ||
 				got.ForcedCost != want.ForcedCost || got.TotalCost != want.TotalCost {
-				t.Fatalf("trial %d workers=%d: accounting diverges: got %+v, oracle %+v",
-					trial, w, got, want)
+				t.Fatalf("%s workers=%d: accounting diverges: got %+v, oracle %+v",
+					label, w, got, want)
 			}
-			sameTables(t, "exact repair", want.Repair, got.Repair)
+			sameTables(t, label+": exact repair", want.Repair, got.Repair)
 		}
 	}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 30; trial++ {
+		tab := randomCFDTable(sc, 48, rng)
+		check(fmt.Sprintf("trial %d", trial), tab, randomCFDs(t, sc, tab, rng))
+	}
+	tab, cs := shuffledCFDInput(t, sc, 48, 44)
+	check("shuffled ids", tab, cs)
+}
+
+// shuffledCFDInput is an n-row pattern table whose ids do not ascend
+// with row position, and CFDs over it.
+func shuffledCFDInput(t *testing.T, sc *schema.Schema, n int, seed int64) (*table.Table, []*CFD) {
+	rng := rand.New(rand.NewSource(seed))
+	tab := workload.ShuffledIDs(workload.CFDTable(sc, n, 4, 2, 2, rng), rng)
+	return tab, randomCFDs(t, sc, tab, rng)
 }

@@ -7,13 +7,14 @@ package cfd
 // — agreement on X, disagreement on A — happens on codes, and the
 // per-pattern conflict groups fan out on the solve context's
 // work-stealing scheduler. The seed path stays as the differential
-// oracle: both construct the identical vertex-cover instance (same
-// vertex order, same lexicographically sorted deduplicated edge list),
-// so the unchanged cover solvers return byte-identical repairs.
+// oracle: both build the same vertex-cover instance (survivors in row
+// order as vertices, the lexicographically sorted deduplicated edge
+// list), so the covers, and the repairs, are byte-identical. The
+// engine keeps that instance as survivor positions and pairs:
+// Bar-Yehuda–Even runs on them directly, and only the exact search
+// builds a graph.
 
 import (
-	"slices"
-
 	"repro/internal/graph"
 	"repro/internal/schema"
 	"repro/internal/solve"
@@ -30,11 +31,12 @@ type cfdUnit struct {
 	rows     []int32 // survivor ordinal -> row index
 }
 
-// edgesOf enumerates the unit's conflict edges (pairs of survivor
-// ordinals with differing rhs codes) in output-proportional time:
-// members are bucketed by rhs code, and edges are the cross pairs of
-// distinct buckets — never the O(g²) scan of a clean group.
-func (u cfdUnit) edgesOf(buf [][2]int32) [][2]int32 {
+// edgesOf appends the unit's conflict edges (pairs of survivor
+// ordinals with differing rhs codes) to buf as graph.PackPair keys, in
+// output-proportional time: members are bucketed by rhs code, and edges
+// are the cross pairs of distinct buckets — never the O(g²) scan of a
+// clean group.
+func (u cfdUnit) edgesOf(buf []uint64) []uint64 {
 	// Bucket by rhs code in first-appearance order, preserving the
 	// ascending ordinal order within buckets.
 	type bucket struct {
@@ -60,11 +62,7 @@ func (u cfdUnit) edgesOf(buf [][2]int32) [][2]int32 {
 		for b := a + 1; b < len(buckets); b++ {
 			for _, u1 := range buckets[a].members {
 				for _, u2 := range buckets[b].members {
-					lo, hi := u1, u2
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					buf = append(buf, [2]int32{lo, hi})
+					buf = append(buf, graph.PackPair(min(u1, u2), max(u1, u2)))
 				}
 			}
 		}
@@ -72,42 +70,53 @@ func (u cfdUnit) edgesOf(buf [][2]int32) [][2]int32 {
 	return buf
 }
 
+// problem is the encoded CFD repair problem: the forced deletions
+// (unary violators, as ids in row order, and their total weight), the
+// survivors' row positions in row order, and the conflict pairs among
+// survivors as survivor ordinals — sorted and deduplicated, so their
+// order is the lexicographic edge order repairProblem's graph has.
+type problem struct {
+	forced     []int
+	forcedCost float64
+	surv       []int32
+	weights    []float64 // by survivor ordinal
+	pairs      [][2]int32
+}
+
 // repairProblemCtx is repairProblem over the encoded core: forced
 // deletions from a linear unary-violation pass, survivors grouped per
-// CFD by cached lhs projection codes, conflict edges collected per
-// (CFD, group) unit on the scheduler, then sorted and deduplicated into
-// the exact graph repairProblem builds — same vertex order (survivors in
-// row order), same edge order (lexicographic by endpoint pair), so the
-// cover solvers behave identically.
-func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (forced []int, g *graph.Graph, ids []int, err error) {
+// CFD by cached lhs projection codes, and conflict pairs collected per
+// (CFD, group) unit on the scheduler, then sorted and deduplicated.
+// Vertex and edge order are repairProblem's, so the cover solvers
+// behave identically; only the exact search builds a graph from them.
+func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (problem, error) {
 	rows := t.Rows()
 	n := len(rows)
 	c.Stats().CFDPattern(len(cs))
 
 	// Forced deletions: unary violators, in row order (matching the seed
 	// scan). Constants are the only string comparisons in the engine.
+	var p problem
 	forcedMask := make([]bool, n)
 	for ri := range rows {
 		for _, cf := range cs {
 			if cf.UnaryViolation(rows[ri].Tuple) {
 				forcedMask[ri] = true
-				forced = append(forced, rows[ri].ID)
+				p.forced = append(p.forced, rows[ri].ID)
+				p.forcedCost += rows[ri].Weight
 				break
 			}
 		}
 	}
-	// Survivors in row order; graph vertices are survivor ordinals.
-	surv := make([]int32, 0, n-len(forced))
-	ids = make([]int, 0, n-len(forced))
-	weights := make([]float64, 0, n-len(forced))
+	// Survivors in row order; cover vertices are survivor ordinals.
+	p.surv = make([]int32, 0, n-len(p.forced))
+	p.weights = make([]float64, 0, n-len(p.forced))
 	for ri := range rows {
 		if !forcedMask[ri] {
-			surv = append(surv, int32(ri))
-			ids = append(ids, rows[ri].ID)
-			weights = append(weights, rows[ri].Weight)
+			p.surv = append(p.surv, int32(ri))
+			p.weights = append(p.weights, rows[ri].Weight)
 		}
 	}
-	g = graph.MustNewGraph(weights)
 
 	// One grouping pass per CFD: survivors matching the lhs pattern,
 	// bucketed by lhs projection code. Groups with ≥ 2 members become
@@ -115,11 +124,11 @@ func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (forced []int, g 
 	var units []cfdUnit
 	for _, cf := range cs {
 		if err := c.Err(); err != nil {
-			return nil, nil, nil, err
+			return problem{}, err
 		}
 		var lhsSet schema.AttrSet
-		for _, p := range cf.lhs {
-			lhsSet = lhsSet.Add(p)
+		for _, a := range cf.lhs {
+			lhsSet = lhsSet.Add(a)
 		}
 		lhsCodes, lhsGroups := t.ProjectionCodes(lhsSet)
 		rhsCodes, _ := t.ProjectionCodes(schema.Singleton(cf.rhs))
@@ -128,7 +137,7 @@ func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (forced []int, g 
 			codeToLocal[i] = -1
 		}
 		var groups [][]int32 // survivor ordinals per lhs code
-		for ord, ri := range surv {
+		for ord, ri := range p.surv {
 			if !cf.matchesLHS(rows[ri].Tuple) {
 				continue
 			}
@@ -143,15 +152,15 @@ func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (forced []int, g 
 		c.PutInt32s(codeToLocal)
 		for _, members := range groups {
 			if len(members) >= 2 {
-				units = append(units, cfdUnit{members: members, rhsCodes: rhsCodes, rows: surv})
+				units = append(units, cfdUnit{members: members, rhsCodes: rhsCodes, rows: p.surv})
 			}
 		}
 	}
 
 	// Fan the units onto the scheduler, one edge buffer per unit; the
-	// deterministic merge below makes the collection order irrelevant.
-	unitEdges := make([][][2]int32, len(units))
-	err = c.ForEachBlock(len(units),
+	// sort below makes the collection order irrelevant.
+	unitEdges := make([][]uint64, len(units))
+	err := c.ForEachBlock(len(units),
 		func(i int) int { return len(units[i].members) },
 		func(wc *solve.Ctx, i int) error {
 			if err := wc.Err(); err != nil {
@@ -161,31 +170,22 @@ func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (forced []int, g 
 			return nil
 		})
 	if err != nil {
-		return nil, nil, nil, err
+		return problem{}, err
 	}
-	total := 0
-	for _, es := range unitEdges {
-		total += len(es)
-	}
-	all := make([][2]int32, 0, total)
-	for _, es := range unitEdges {
-		all = append(all, es...)
-	}
-	slices.SortFunc(all, func(a, b [2]int32) int {
-		if a[0] != b[0] {
-			return int(a[0]) - int(b[0])
+	p.pairs = graph.SortPairs(unitEdges)
+	return p, nil
+}
+
+// repair keeps the survivors the cover leaves out.
+func (p problem) repair(t *table.Table, covered func(ord int) bool) Result {
+	keep := make([]int32, 0, len(p.surv))
+	for ord, ri := range p.surv {
+		if !covered(ord) {
+			keep = append(keep, ri)
 		}
-		return int(a[1]) - int(b[1])
-	})
-	var prev [2]int32 = [2]int32{-1, -1}
-	for _, e := range all {
-		if e == prev {
-			continue
-		}
-		prev = e
-		g.AddEdgeUnchecked(int(e[0]), int(e[1]))
 	}
-	return forced, g, ids, nil
+	rep := table.ViewOfRows(t, keep).Materialize()
+	return Result{Repair: rep, Forced: p.forced, ForcedCost: p.forcedCost, TotalCost: table.DistSub(rep, t)}
 }
 
 // ExactSRepairCtx is ExactSRepair on the encoded core under a solve
@@ -194,24 +194,26 @@ func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (forced []int, g 
 // branch-and-bound cover search honors the context's cancellation.
 // Results are byte-identical to ExactSRepair.
 func ExactSRepairCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (Result, error) {
-	forced, g, ids, err := repairProblemCtx(c, cs, t)
+	p, err := repairProblemCtx(c, cs, t)
 	if err != nil {
 		return Result{}, err
 	}
-	cover, err := g.ExactMinVertexCoverCtx(c)
+	cover, err := graph.FromPairs(p.weights, p.pairs).ExactMinVertexCoverCtx(c)
 	if err != nil {
 		return Result{}, err
 	}
-	return assemble(t, forced, ids, cover), nil
+	return p.repair(t, func(ord int) bool { return cover[ord] }), nil
 }
 
 // Approx2SRepairCtx is Approx2SRepair on the encoded core: the
 // polynomial path, linear in rows and conflict edges instead of
-// quadratic in rows. Results are byte-identical to Approx2SRepair.
+// quadratic in rows. Bar-Yehuda–Even runs on the survivor pairs as
+// they are. Results are byte-identical to Approx2SRepair.
 func Approx2SRepairCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (Result, error) {
-	forced, g, ids, err := repairProblemCtx(c, cs, t)
+	p, err := repairProblemCtx(c, cs, t)
 	if err != nil {
 		return Result{}, err
 	}
-	return assemble(t, forced, ids, g.ApproxVertexCoverBE()), nil
+	cover := graph.BarYehudaEven(p.weights, p.pairs)
+	return p.repair(t, func(ord int) bool { return cover[ord] }), nil
 }

@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -45,6 +46,30 @@ func randomQuery(t *testing.T, sc *schema.Schema, tab *table.Table, rng *rand.Ra
 func TestDifferentialCQA(t *testing.T) {
 	sc := schema.MustNew("R", "A", "B", "C")
 	ds := fd.MustParseSet(sc, "A -> B", "A -> C")
+	check := func(label string, tab *table.Table, q *Query) {
+		want, err := ConsistentAnswers(ds, tab, q)
+		if err != nil {
+			t.Fatalf("%s: seed enumeration: %v", label, err)
+		}
+		for _, w := range diffWorkers {
+			got, err := ConsistentAnswersCtx(solve.New(w, nil, nil), ds, tab, q)
+			if err != nil {
+				t.Fatalf("%s workers=%d: encoded answers: %v", label, w, err)
+			}
+			if !reflect.DeepEqual(got.Certain, want.Certain) {
+				t.Fatalf("%s workers=%d: certain diverges: got %v, oracle %v",
+					label, w, got.Certain, want.Certain)
+			}
+			if !reflect.DeepEqual(got.Possible, want.Possible) {
+				t.Fatalf("%s workers=%d: possible diverges: got %v, oracle %v",
+					label, w, got.Possible, want.Possible)
+			}
+			if got.Repairs != want.Repairs {
+				t.Fatalf("%s workers=%d: %d repairs, oracle %d",
+					label, w, got.Repairs, want.Repairs)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 40; trial++ {
 		var tab *table.Table
@@ -53,30 +78,12 @@ func TestDifferentialCQA(t *testing.T) {
 		} else {
 			tab = workload.RandomTable(sc, rng.Intn(33), 1+rng.Intn(4), rng)
 		}
-		q := randomQuery(t, sc, tab, rng)
-		want, err := ConsistentAnswers(ds, tab, q)
-		if err != nil {
-			t.Fatalf("trial %d: seed enumeration: %v", trial, err)
-		}
-		for _, w := range diffWorkers {
-			got, err := ConsistentAnswersCtx(solve.New(w, nil, nil), ds, tab, q)
-			if err != nil {
-				t.Fatalf("trial %d workers=%d: encoded answers: %v", trial, w, err)
-			}
-			if !reflect.DeepEqual(got.Certain, want.Certain) {
-				t.Fatalf("trial %d workers=%d: certain diverges: got %v, oracle %v",
-					trial, w, got.Certain, want.Certain)
-			}
-			if !reflect.DeepEqual(got.Possible, want.Possible) {
-				t.Fatalf("trial %d workers=%d: possible diverges: got %v, oracle %v",
-					trial, w, got.Possible, want.Possible)
-			}
-			if got.Repairs != want.Repairs {
-				t.Fatalf("trial %d workers=%d: %d repairs, oracle %d",
-					trial, w, got.Repairs, want.Repairs)
-			}
-		}
+		check(fmt.Sprintf("trial %d", trial), tab, randomQuery(t, sc, tab, rng))
 	}
+	// One table whose ids do not ascend with row position.
+	shuffled := rand.New(rand.NewSource(62))
+	tab := workload.ShuffledIDs(workload.SmallComponentTable(sc, 30, 3, 2, shuffled), shuffled)
+	check("shuffled ids", tab, randomQuery(t, sc, tab, shuffled))
 }
 
 // TestDifferentialCQABeyondSeedBound pins the factorization's whole

@@ -102,11 +102,7 @@ func ConsistentAnswersCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, q *Query) (*
 	}
 
 	// Conflict components via union-find over row positions.
-	edges := t.ConflictGraph(ds)
-	idx := make(map[int]int32, n)
-	for ri := range rows {
-		idx[rows[ri].ID] = int32(ri)
-	}
+	pairs := t.ConflictPairs(ds)
 	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = int32(i)
@@ -120,11 +116,8 @@ func ConsistentAnswersCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, q *Query) (*
 		return x
 	}
 	conflicted := make([]bool, n)
-	type edge struct{ u, v int32 }
-	posEdges := make([]edge, len(edges))
-	for i, e := range edges {
-		u, v := idx[e.ID1], idx[e.ID2]
-		posEdges[i] = edge{u, v}
+	for _, e := range pairs {
+		u, v := e[0], e[1]
 		conflicted[u], conflicted[v] = true, true
 		ru, rv := find(u), find(v)
 		if ru != rv {
@@ -172,9 +165,9 @@ func ConsistentAnswersCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, q *Query) (*
 	for ci, comp := range comps {
 		adjs[ci] = make([]uint64, len(comp))
 	}
-	for _, e := range posEdges {
-		ci := compOf[find(e.u)]
-		ou, ov := ordinal[e.u], ordinal[e.v]
+	for _, e := range pairs {
+		ci := compOf[find(e[0])]
+		ou, ov := ordinal[e[0]], ordinal[e[1]]
 		adjs[ci][ou] |= 1 << uint(ov)
 		adjs[ci][ov] |= 1 << uint(ou)
 	}

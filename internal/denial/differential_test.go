@@ -126,41 +126,57 @@ func TestDifferentialDenialConflictGraph(t *testing.T) {
 
 func TestDifferentialDenialApprox(t *testing.T) {
 	sc := schema.MustNew("R", "A", "B", "C")
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 30; trial++ {
-		tab := randomDenialTable(sc, 160, rng)
-		cs := randomConstraints(t, sc, rng)
+	check := func(label string, tab *table.Table, cs []*Constraint) {
 		want, err := Approx2SRepair(cs, tab)
 		if err != nil {
-			t.Fatalf("trial %d: seed approx: %v", trial, err)
+			t.Fatalf("%s: seed approx: %v", label, err)
 		}
 		for _, w := range diffWorkers {
 			got, err := Approx2SRepairCtx(solve.New(w, nil, nil), cs, tab)
 			if err != nil {
-				t.Fatalf("trial %d workers=%d: encoded approx: %v", trial, w, err)
+				t.Fatalf("%s workers=%d: encoded approx: %v", label, w, err)
 			}
-			sameTables(t, "approx repair", want, got)
+			sameTables(t, label+": approx repair", want, got)
 		}
 	}
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 30; trial++ {
+		tab := randomDenialTable(sc, 160, rng)
+		check(fmt.Sprintf("trial %d", trial), tab, randomConstraints(t, sc, rng))
+	}
+	tab, cs := shuffledDenialInput(t, sc, 160, 54)
+	check("shuffled ids", tab, cs)
 }
 
 func TestDifferentialDenialExact(t *testing.T) {
 	sc := schema.MustNew("R", "A", "B", "C")
-	rng := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 30; trial++ {
-		tab := randomDenialTable(sc, 40, rng)
-		cs := randomConstraints(t, sc, rng)
+	check := func(label string, tab *table.Table, cs []*Constraint) {
 		want, wantErr := ExactSRepair(cs, tab)
 		for _, w := range diffWorkers {
 			got, err := ExactSRepairCtx(solve.New(w, nil, nil), cs, tab)
 			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("trial %d workers=%d: error mismatch: got %v, oracle %v",
-					trial, w, err, wantErr)
+				t.Fatalf("%s workers=%d: error mismatch: got %v, oracle %v",
+					label, w, err, wantErr)
 			}
 			if wantErr != nil {
 				continue
 			}
-			sameTables(t, "exact repair", want, got)
+			sameTables(t, label+": exact repair", want, got)
 		}
 	}
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 30; trial++ {
+		tab := randomDenialTable(sc, 40, rng)
+		check(fmt.Sprintf("trial %d", trial), tab, randomConstraints(t, sc, rng))
+	}
+	tab, cs := shuffledDenialInput(t, sc, 40, 60)
+	check("shuffled ids", tab, cs)
+}
+
+// shuffledDenialInput is an n-row mixed numeric and string table whose
+// ids do not ascend with row position, and constraints over it.
+func shuffledDenialInput(t *testing.T, sc *schema.Schema, n int, seed int64) (*table.Table, []*Constraint) {
+	rng := rand.New(rand.NewSource(seed))
+	tab := workload.ShuffledIDs(mixedTable(sc, n, rng), rng)
+	return tab, randomConstraints(t, sc, rng)
 }

@@ -12,10 +12,11 @@ package denial
 // chunk-parallel pairwise scan — still with compiled keys. Units fan
 // out on the solve context's scheduler; the merged edge list is sorted
 // and deduplicated, reproducing the seed's conflict graph exactly, so
-// the unchanged vertex-cover solvers return byte-identical repairs.
+// the covers, and the repairs, are byte-identical. The pairs stay row
+// positions: Bar-Yehuda–Even runs on them directly, and only the exact
+// search builds a graph.
 
 import (
-	"slices"
 	"strconv"
 
 	"repro/internal/graph"
@@ -187,12 +188,14 @@ func (u denialUnit) size() int {
 	return int(u.hi - u.lo)
 }
 
-func (u denialUnit) scan(k *keySet, buf [][2]int32) [][2]int32 {
+// scan appends the unit's violating pairs to buf as graph.PackPair
+// keys.
+func (u denialUnit) scan(k *keySet, buf []uint64) []uint64 {
 	if u.members != nil {
 		for i := 0; i < len(u.members); i++ {
 			for j := i + 1; j < len(u.members); j++ {
 				if u.cn.violatesKeys(k, u.members[i], u.members[j]) {
-					buf = append(buf, [2]int32{u.members[i], u.members[j]})
+					buf = append(buf, graph.PackPair(u.members[i], u.members[j]))
 				}
 			}
 		}
@@ -201,7 +204,7 @@ func (u denialUnit) scan(k *keySet, buf [][2]int32) [][2]int32 {
 	for i := u.lo; i < u.hi; i++ {
 		for j := i + 1; j < u.n; j++ {
 			if u.cn.violatesKeys(k, i, j) {
-				buf = append(buf, [2]int32{i, j})
+				buf = append(buf, graph.PackPair(i, j))
 			}
 		}
 	}
@@ -286,7 +289,7 @@ func conflictPairs(c *solve.Ctx, cs []*Constraint, t *table.Table) ([][2]int32, 
 			keys.col(a.Right.Attr)
 		}
 	}
-	unitEdges := make([][][2]int32, len(units))
+	unitEdges := make([][]uint64, len(units))
 	err := c.ForEachBlock(len(units),
 		func(i int) int { return units[i].size() },
 		func(wc *solve.Ctx, i int) error {
@@ -299,30 +302,7 @@ func conflictPairs(c *solve.Ctx, cs []*Constraint, t *table.Table) ([][2]int32, 
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, es := range unitEdges {
-		total += len(es)
-	}
-	all := make([][2]int32, 0, total)
-	for _, es := range unitEdges {
-		all = append(all, es...)
-	}
-	slices.SortFunc(all, func(a, b [2]int32) int {
-		if a[0] != b[0] {
-			return int(a[0]) - int(b[0])
-		}
-		return int(a[1]) - int(b[1])
-	})
-	out := all[:0]
-	prev := [2]int32{-1, -1}
-	for _, e := range all {
-		if e == prev {
-			continue
-		}
-		prev = e
-		out = append(out, e)
-	}
-	return out, nil
+	return graph.SortPairs(unitEdges), nil
 }
 
 // ConflictGraphCtx is ConflictGraph on the encoded core under a solve
@@ -342,49 +322,29 @@ func ConflictGraphCtx(c *solve.Ctx, cs []*Constraint, t *table.Table) ([]table.C
 	return out, nil
 }
 
-// repairProblemCtx builds the same vertex-cover instance as
-// repairProblem (vertices are row positions, edges the sorted conflict
-// pairs) from the encoded conflict scan.
-func repairProblemCtx(c *solve.Ctx, cs []*Constraint, t *table.Table) (*graph.Graph, []int, error) {
-	pairs, err := conflictPairs(c, cs, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	ids := t.IDs()
-	rows := t.Rows()
-	weights := make([]float64, len(rows))
-	for i := range rows {
-		weights[i] = rows[i].Weight
-	}
-	g := graph.MustNewGraph(weights)
-	for _, e := range pairs {
-		g.AddEdgeUnchecked(int(e[0]), int(e[1]))
-	}
-	return g, ids, nil
-}
-
 // ExactSRepairCtx is ExactSRepair on the encoded core under a solve
 // context; the cover search honors the context's cancellation. Results
 // are byte-identical to ExactSRepair.
 func ExactSRepairCtx(c *solve.Ctx, cs []*Constraint, t *table.Table) (*table.Table, error) {
-	g, ids, err := repairProblemCtx(c, cs, t)
+	pairs, err := conflictPairs(c, cs, t)
 	if err != nil {
 		return nil, err
 	}
-	cover, err := g.ExactMinVertexCoverCtx(c)
+	cover, err := graph.FromPairs(t.Weights(), pairs).ExactMinVertexCoverCtx(c)
 	if err != nil {
 		return nil, err
 	}
-	return coverToSubset(t, ids, cover), nil
+	return t.Without(func(ri int) bool { return cover[ri] }), nil
 }
 
 // Approx2SRepairCtx is Approx2SRepair on the encoded core: polynomial,
 // and near-linear when every constraint has a join attribute with small
 // groups. Results are byte-identical to Approx2SRepair.
 func Approx2SRepairCtx(c *solve.Ctx, cs []*Constraint, t *table.Table) (*table.Table, error) {
-	g, ids, err := repairProblemCtx(c, cs, t)
+	pairs, err := conflictPairs(c, cs, t)
 	if err != nil {
 		return nil, err
 	}
-	return coverToSubset(t, ids, g.ApproxVertexCoverBE()), nil
+	cover := graph.BarYehudaEven(t.Weights(), pairs)
+	return t.Without(func(ri int) bool { return cover[ri] }), nil
 }

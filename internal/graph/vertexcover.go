@@ -2,15 +2,18 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/solve"
 )
 
 // Graph is an undirected graph with float64 vertex weights, used for the
-// vertex-cover view of optimal S-repairs: vertices are tuple
-// identifiers, edges are FD conflicts, and a minimum-weight vertex cover
-// is exactly the set of tuples deleted by an optimal S-repair.
+// vertex-cover view of optimal S-repairs: vertices are row positions,
+// edges are conflicts, and a minimum-weight vertex cover is exactly the
+// set of tuples deleted by an optimal S-repair. The exact search and
+// the oracles build one; the 2-approximate engines skip it and run
+// BarYehudaEven on their weights and conflict pairs.
 type Graph struct {
 	n       int
 	weights []float64
@@ -67,19 +70,6 @@ func (g *Graph) AddEdge(u, v int) error {
 	return nil
 }
 
-// AddEdgeUnchecked inserts an undirected edge the caller guarantees is
-// valid (in range, no self-loop) and not yet present; it skips the
-// duplicate-detection map. Mixing with AddEdge afterwards is the
-// caller's responsibility.
-func (g *Graph) AddEdgeUnchecked(u, v int) {
-	if u > v {
-		u, v = v, u
-	}
-	g.edges = append(g.edges, [2]int{u, v})
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
-}
-
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
@@ -127,23 +117,35 @@ func (g *Graph) CoverWeight(cover map[int]bool) float64 {
 	return sum
 }
 
-// ApproxVertexCoverBE computes a vertex cover of weight at most twice
-// the minimum using the Bar-Yehuda–Even local-ratio algorithm: walk the
-// edges, and for each still-uncovered edge transfer min residual weight
-// between its endpoints; vertices whose residual reaches zero enter the
-// cover. Linear in edges.
+// ApproxVertexCoverBE is BarYehudaEven on the graph's vertices and
+// edge list, with the cover as a vertex set.
 func (g *Graph) ApproxVertexCoverBE() map[int]bool {
-	res := append([]float64(nil), g.weights...)
 	cover := map[int]bool{}
-	for _, e := range g.edges {
+	for v, in := range BarYehudaEven(g.weights, g.edges) {
+		if in {
+			cover[v] = true
+		}
+	}
+	return cover
+}
+
+// BarYehudaEven computes a vertex cover of weight at most twice the
+// minimum by the Bar-Yehuda–Even local-ratio algorithm: walk the edges
+// in list order, and for each still-uncovered edge transfer the smaller
+// residual weight off both endpoints; vertices whose residual reaches
+// zero enter the cover. Vertex v weighs weights[v]; an edge is a pair
+// of vertices. The result marks the cover. Linear in vertices plus
+// edges, and it neither copies nor indexes the edge list, so callers
+// hand it their conflict pairs as they are.
+func BarYehudaEven[V int32 | int](weights []float64, edges [][2]V) []bool {
+	res := append([]float64(nil), weights...)
+	cover := make([]bool, len(weights))
+	for _, e := range edges {
 		u, v := e[0], e[1]
 		if cover[u] || cover[v] {
 			continue
 		}
-		d := res[u]
-		if res[v] < d {
-			d = res[v]
-		}
+		d := min(res[u], res[v])
 		res[u] -= d
 		res[v] -= d
 		if res[u] <= 0 {
@@ -154,6 +156,40 @@ func (g *Graph) ApproxVertexCoverBE() map[int]bool {
 		}
 	}
 	return cover
+}
+
+// FromPairs is the graph over vertices 0..len(weights)-1 with the given
+// edges, which the caller guarantees in range, free of self-loops and
+// distinct (so no duplicate check runs); the exact cover search runs on
+// it.
+func FromPairs(weights []float64, edges [][2]int32) *Graph {
+	g := MustNewGraph(weights)
+	for _, e := range edges {
+		u, v := int(min(e[0], e[1])), int(max(e[0], e[1]))
+		g.edges = append(g.edges, [2]int{u, v})
+		g.adj[u] = append(g.adj[u], v)
+		g.adj[v] = append(g.adj[v], u)
+	}
+	return g
+}
+
+// PackPair packs the pair (i, j) of non-negative vertices into one key
+// whose unsigned order is the lexicographic order of (i, j).
+func PackPair(i, j int32) uint64 { return uint64(i)<<32 | uint64(j) }
+
+// SortPairs merges lists of PackPair keys into one pair list in
+// ascending (i, j) order without duplicates.
+func SortPairs(lists [][]uint64) [][2]int32 {
+	keys := slices.Concat(lists...)
+	slices.Sort(keys)
+	out := make([][2]int32, 0, len(keys))
+	for k, key := range keys {
+		if k > 0 && key == keys[k-1] {
+			continue
+		}
+		out = append(out, [2]int32{int32(key >> 32), int32(uint32(key))})
+	}
+	return out
 }
 
 // GreedyVertexCover computes a cover by repeatedly taking the vertex

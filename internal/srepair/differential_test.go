@@ -295,36 +295,47 @@ func TestDifferentialOptSRepair(t *testing.T) {
 
 // TestDifferentialExactApprox2 pins the code-based conflict graph and
 // the scratch-allocated vertex-cover search to the seed behavior on all
-// four hard FD sets of Table 1.
+// four hard FD sets of Table 1, on random tables and on one whose ids
+// do not ascend with row position.
 func TestDifferentialExactApprox2(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	shuffled := rand.New(rand.NewSource(46))
 	for name, ds := range workload.HardSets() {
 		sc := ds.Schema()
 		for iter := 0; iter < 15; iter++ {
 			n := 2 + rng.Intn(18)
 			dom := 2 + rng.Intn(3)
 			tab := workload.RandomWeightedTable(sc, n, dom, 3, rng)
-			gotE, err := Exact(ds, tab)
-			if err != nil {
-				t.Fatalf("%s exact: %v", name, err)
-			}
-			wantE, err := refExact(ds, tab)
-			if err != nil {
-				t.Fatalf("%s ref exact: %v", name, err)
-			}
-			sameRepair(t, name+"/exact", tab, gotE, wantE)
-
-			gotA, err := Approx2(ds, tab)
-			if err != nil {
-				t.Fatalf("%s approx2: %v", name, err)
-			}
-			wantA, err := refApprox2(ds, tab)
-			if err != nil {
-				t.Fatalf("%s ref approx2: %v", name, err)
-			}
-			sameRepair(t, name+"/approx2", tab, gotA, wantA)
+			sameCoverRepairs(t, name, ds, tab)
 		}
+		tab := workload.ShuffledIDs(workload.RandomWeightedTable(sc, 19, 3, 3, shuffled), shuffled)
+		sameCoverRepairs(t, name+"/shuffled ids", ds, tab)
 	}
+}
+
+// sameCoverRepairs checks Exact and Approx2 against the seed's cover
+// repairs on one table.
+func sameCoverRepairs(t *testing.T, name string, ds *fd.Set, tab *table.Table) {
+	t.Helper()
+	gotE, err := Exact(ds, tab)
+	if err != nil {
+		t.Fatalf("%s exact: %v", name, err)
+	}
+	wantE, err := refExact(ds, tab)
+	if err != nil {
+		t.Fatalf("%s ref exact: %v", name, err)
+	}
+	sameRepair(t, name+"/exact", tab, gotE, wantE)
+
+	gotA, err := Approx2(ds, tab)
+	if err != nil {
+		t.Fatalf("%s approx2: %v", name, err)
+	}
+	wantA, err := refApprox2(ds, tab)
+	if err != nil {
+		t.Fatalf("%s ref approx2: %v", name, err)
+	}
+	sameRepair(t, name+"/approx2", tab, gotA, wantA)
 }
 
 // TestDifferentialMakeMaximal pins the incremental group-membership

@@ -12,9 +12,11 @@
 //   - OSRSucceeds (Algorithm 2) and a human-readable simplification
 //     trace in the style of Example 3.5;
 //   - Exact: an exponential-time baseline for arbitrary FD sets via
-//     minimum-weight vertex cover of the conflict graph;
-//   - Approx2: the polynomial 2-approximation of Proposition 3.3
-//     (Bar-Yehuda–Even on the conflict graph).
+//     minimum-weight vertex cover of the conflict graph, which it
+//     builds from the table's conflict pairs;
+//   - Approx2: the polynomial 2-approximation of Proposition 3.3:
+//     Bar-Yehuda–Even on the table's conflict pairs as they come, in
+//     row positions, with no graph, id map or map cover in between.
 package srepair
 
 import (
@@ -397,37 +399,6 @@ func IsConsistentSubset(ds *fd.Set, t, s *table.Table) bool {
 // Cost returns dist_sub(s, t), the weight of the deleted tuples.
 func Cost(t, s *table.Table) float64 { return table.DistSub(s, t) }
 
-// conflictProblem builds the weighted vertex-cover view of the table:
-// tuple ids become vertices, FD conflicts become edges.
-func conflictProblem(ds *fd.Set, t *table.Table) (*graph.Graph, []int) {
-	rows := t.Rows()
-	ids := make([]int, len(rows))
-	index := make(map[int]int, len(rows))
-	weights := make([]float64, len(rows))
-	for i, r := range rows {
-		ids[i] = r.ID
-		index[r.ID] = i
-		weights[i] = r.Weight
-	}
-	g := graph.MustNewGraph(weights)
-	for _, e := range t.ConflictGraph(ds) {
-		// ConflictGraph already deduplicates and orients edges.
-		g.AddEdgeUnchecked(index[e.ID1], index[e.ID2])
-	}
-	return g, ids
-}
-
-// coverToSubset deletes the covered vertices from t.
-func coverToSubset(t *table.Table, ids []int, cover map[int]bool) *table.Table {
-	var keep []int
-	for i, id := range ids {
-		if !cover[i] {
-			keep = append(keep, id)
-		}
-	}
-	return t.MustSubsetByIDs(keep)
-}
-
 // Exact computes an optimal S-repair for any FD set by solving minimum-
 // weight vertex cover on the conflict graph exactly. Exponential in the
 // worst case; it is the validation baseline for the hard side of the
@@ -447,12 +418,12 @@ func ExactCtx(c *solve.Ctx, ds *fd.Set, t *table.Table) (*table.Table, error) {
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	g, ids := conflictProblem(ds, t)
+	g := graph.FromPairs(t.Weights(), t.ConflictPairs(ds))
 	cover, err := g.ExactMinVertexCoverCtx(c)
 	if err != nil {
 		return nil, err
 	}
-	return coverToSubset(t, ids, cover), nil
+	return t.Without(func(ri int) bool { return cover[ri] }), nil
 }
 
 // Approx2 computes a 2-optimal S-repair in polynomial time for any FD
@@ -465,7 +436,7 @@ func Approx2(ds *fd.Set, t *table.Table) (*table.Table, error) {
 }
 
 // Approx2Ctx is Approx2 under an explicit solve context (cancellation
-// checked before the conflict graph is built).
+// checked before the conflict pairs are listed).
 func Approx2Ctx(c *solve.Ctx, ds *fd.Set, t *table.Table) (*table.Table, error) {
 	if !ds.Schema().SameAs(t.Schema()) {
 		return nil, fmt.Errorf("srepair: FD set and table have different schemas")
@@ -473,9 +444,8 @@ func Approx2Ctx(c *solve.Ctx, ds *fd.Set, t *table.Table) (*table.Table, error) 
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	g, ids := conflictProblem(ds, t)
-	cover := g.ApproxVertexCoverBE()
-	return coverToSubset(t, ids, cover), nil
+	cover := graph.BarYehudaEven(t.Weights(), t.ConflictPairs(ds))
+	return t.Without(func(ri int) bool { return cover[ri] }), nil
 }
 
 // MakeMaximal extends a consistent subset s of t to a subset repair in

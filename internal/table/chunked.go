@@ -97,7 +97,8 @@ type ChunkedBuilder struct {
 	n      int              // rows accepted so far
 	nextID int              // watermark, same rule as Table.nextID
 	lastID int              // largest id seen; fast-path duplicate guard
-	idSeen map[int]struct{} // materialized on first out-of-order id
+	idSeen map[int]struct{} // ids of rows [0, seen): see extendIDSeen
+	seen   int
 
 	sealed bool
 }
@@ -161,18 +162,8 @@ func (b *ChunkedBuilder) Append(id int, cells [][]byte, weight float64) error {
 		return err
 	}
 	if id <= b.lastID {
-		// Out-of-order identifier: fall back to the materialized set.
-		if b.idSeen == nil {
-			b.idSeen = make(map[int]struct{}, b.n)
-			for _, ch := range b.rowChunks {
-				for _, r := range ch {
-					b.idSeen[r.ID] = struct{}{}
-				}
-			}
-			for _, r := range b.rowCur {
-				b.idSeen[r.ID] = struct{}{}
-			}
-		}
+		// Out-of-order identifier: check it against every id so far.
+		b.extendIDSeen()
 		if _, dup := b.idSeen[id]; dup {
 			return fmt.Errorf("table: duplicate tuple identifier %d", id)
 		}
@@ -211,9 +202,6 @@ func (b *ChunkedBuilder) Append(id int, cells [][]byte, weight float64) error {
 	if id > b.lastID {
 		b.lastID = id
 	}
-	if b.idSeen != nil {
-		b.idSeen[id] = struct{}{}
-	}
 
 	size := firstChunkRows
 	if b.chunkCap == chunkRows {
@@ -226,6 +214,28 @@ func (b *ChunkedBuilder) Append(id int, cells [][]byte, weight float64) error {
 		b.flushChunk()
 	}
 	return nil
+}
+
+// extendIDSeen adds the ids of the rows accepted since its last call to
+// idSeen. Only an out-of-order id calls it, so rows whose ids ascend
+// never touch the map. The new rows are the last n-seen: the tail of
+// rowCur, then of the completed chunks before it.
+func (b *ChunkedBuilder) extendIDSeen() {
+	if b.idSeen == nil {
+		b.idSeen = make(map[int]struct{}, b.n)
+	}
+	rows, k := b.rowCur, len(b.rowChunks)
+	for todo := b.n - b.seen; todo > 0; {
+		from := max(len(rows)-todo, 0)
+		for _, r := range rows[from:] {
+			b.idSeen[r.ID] = struct{}{}
+		}
+		todo -= len(rows) - from
+		if k--; k >= 0 {
+			rows = b.rowChunks[k]
+		}
+	}
+	b.seen = b.n
 }
 
 // internBatch interns the filling batch into the current chunk's

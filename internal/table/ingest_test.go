@@ -368,6 +368,46 @@ func TestIngestAllocBound(t *testing.T) {
 	}
 }
 
+// TestIngestOutOfOrderIDs pins the duplicate check's cost to the rows
+// that need it. One early identifier below the watermark (row 1 carries
+// id 1 after row 0's id 2) must not send every later row's id into the
+// duplicate set: ingest bytes stay within 5% of the in-order input's. A
+// later repeat of an in-order id, past the ramp, must still fail with
+// the seed reader's error.
+func TestIngestOutOfOrderIDs(t *testing.T) {
+	const n = chunkRows
+	bytesOf := func(in string) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := IngestCSV(strings.NewReader(in), "R"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}).AllocedBytesPerOp()
+	}
+	inOrder, early := bytesOf(chunkEdgeCSV(n, 0, 0)), bytesOf(chunkEdgeCSV(n, 1, 1))
+	t.Logf("%d rows: %d B/op in order, %d B/op with id 1 at row 1", n, inOrder, early)
+	if float64(early) > 1.05*float64(inOrder) {
+		t.Errorf("an early out-of-order id costs %d B/op against %d in order, want at most 1.05×", early, inOrder)
+	}
+
+	dup := 2 * (rampRows + 1000 + 1) // row rampRows+1000's id
+	in := chunkEdgeCSV(rampRows+3000, 1, 1) + fmt.Sprintf("%d,x,y,z,1\n", dup)
+	_, werr := ReadCSVBuffered(strings.NewReader(in), "R")
+	if werr == nil || !strings.Contains(werr.Error(), fmt.Sprintf("duplicate tuple identifier %d", dup)) {
+		t.Fatalf("the seed reader returned %v, want the duplicate of %d", werr, dup)
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, gerr := IngestCSV(strings.NewReader(in), "R")
+		runtime.GOMAXPROCS(prev)
+		if gerr == nil || gerr.Error() != werr.Error() {
+			t.Errorf("GOMAXPROCS %d: ingest=%v, buffered=%v", procs, gerr, werr)
+		}
+	}
+}
+
 // TestChunkedBuilderBoundaries drives the builder across chunk
 // boundaries and through the duplicate-id fallback.
 func TestChunkedBuilderBoundaries(t *testing.T) {

@@ -681,14 +681,16 @@ func (t *Table) Violations(ds *fd.Set, max int) []Violation {
 // violate at least one FD of a set.
 type ConflictEdge struct{ ID1, ID2 int }
 
-// ConflictGraph returns the conflict edges of the table under the set:
-// {i, j} is an edge iff tuples i and j violate one or more FDs. A
-// consistent subset is exactly an independent set of this graph, so an
-// optimal S-repair is the complement of a maximum-weight independent
-// set, equivalently a minimum-weight vertex cover (Proposition 3.3).
-// Edges come FD by FD, then lhs group by lhs group; a pair violating
-// several FDs is listed once, under the first.
-func (t *Table) ConflictGraph(ds *fd.Set) []ConflictEdge {
+// ConflictPairs returns the conflict edges of the table under the set
+// as row positions: (i, j) with i < j is a pair iff rows i and j
+// violate one or more FDs. A consistent subset is exactly an
+// independent set of this graph, so an optimal S-repair is the
+// complement of a maximum-weight independent set, equivalently a
+// minimum-weight vertex cover (Proposition 3.3). Pairs come FD by FD,
+// then lhs group by lhs group, then in row order within a group; a pair
+// violating several FDs is listed once, under the first. The
+// 2-approximate engines run the cover on these positions directly.
+func (t *Table) ConflictPairs(ds *fd.Set) [][2]int32 {
 	if len(t.rows) == 0 {
 		return nil
 	}
@@ -706,22 +708,46 @@ func (t *Table) ConflictGraph(ds *fd.Set) []ConflictEdge {
 		}
 		return false
 	}
-	var out []ConflictEdge
+	var out [][2]int32
 	for fi := range lhs {
 		rc := rhs[fi].codes
 		for _, g := range t.groupRowIndexes(lhs[fi]) {
 			for i := 0; i < len(g); i++ {
 				for j := i + 1; j < len(g); j++ {
 					if rc[g[i]] != rc[g[j]] && !violatedBefore(fi, g[i], g[j]) {
-						e := ConflictEdge{ID1: t.rows[g[i]].ID, ID2: t.rows[g[j]].ID}
-						if e.ID1 > e.ID2 {
-							e.ID1, e.ID2 = e.ID2, e.ID1
-						}
-						out = append(out, e)
+						out = append(out, [2]int32{g[i], g[j]})
 					}
 				}
 			}
 		}
+	}
+	return out
+}
+
+// ConflictGraph is ConflictPairs in tuple identifiers, in the same
+// order, each edge oriented ID1 < ID2.
+func (t *Table) ConflictGraph(ds *fd.Set) []ConflictEdge {
+	pairs := t.ConflictPairs(ds)
+	if len(pairs) == 0 {
+		return nil
+	}
+	out := make([]ConflictEdge, len(pairs))
+	for k, p := range pairs {
+		e := ConflictEdge{ID1: t.rows[p[0]].ID, ID2: t.rows[p[1]].ID}
+		if e.ID1 > e.ID2 {
+			e.ID1, e.ID2 = e.ID2, e.ID1
+		}
+		out[k] = e
+	}
+	return out
+}
+
+// Weights returns the rows' weights in row order, in a fresh slice: the
+// vertex weights of the conflict pairs.
+func (t *Table) Weights() []float64 {
+	out := make([]float64, len(t.rows))
+	for i := range t.rows {
+		out[i] = t.rows[i].Weight
 	}
 	return out
 }

@@ -302,3 +302,15 @@ func (v View) Materialize() *Table {
 	}
 	return out
 }
+
+// Without returns the subset of t without the rows drop reports, by
+// row position: the view of the others, materialized.
+func (t *Table) Without(drop func(ri int) bool) *Table {
+	keep := make([]int32, 0, len(t.rows))
+	for ri := range t.rows {
+		if !drop(ri) {
+			keep = append(keep, int32(ri))
+		}
+	}
+	return ViewOfRows(t, keep).Materialize()
+}

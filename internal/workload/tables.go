@@ -61,6 +61,19 @@ func RandomWeightedTable(sc *schema.Schema, n, domain, maxWeight int, rng *rand.
 	return t
 }
 
+// ShuffledIDs returns a copy of t with the same rows in the same order
+// under identifiers 1..n in random order, so ids do not ascend with row
+// position. Every generator here appends, so its ids always do; a
+// differential suite takes this copy to tell ids from positions.
+func ShuffledIDs(t *table.Table, rng *rand.Rand) *table.Table {
+	out := table.New(t.Schema())
+	perm := rng.Perm(t.Len())
+	for i, r := range t.Rows() {
+		out.MustInsert(perm[i]+1, r.Tuple, r.Weight)
+	}
+	return out
+}
+
 // DirtyTable builds a table that starts consistent with respect to ds
 // and then corrupts a fraction of the cells, which yields realistic
 // "mostly clean" cleaning workloads. The clean table assigns, per
