@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"reflect"
-	"sort"
 
 	"repro/fdrepair"
 )
@@ -17,9 +15,9 @@ import (
 //     completion outcomes (S6); the {algo=...} series of the same
 //     family counts admitted requests by their parsed algorithm.
 //   - fdrepaird_solve_<counter>_total — the solver's own SolveStats
-//     snapshot, one series per counter, derived from the snapshot's
-//     JSON tags so new solver counters show up without touching this
-//     file.
+//     snapshot, one series per counter under its JSON name, in the
+//     snapshot's counter order (SolveStats.Counters), so new solver
+//     counters show up without touching this file.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 
@@ -54,23 +52,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "fdrepaird_ingest_bytes_total %d\n", s.m.ingestBytes.Load())
 
 	fmt.Fprintln(w, "# HELP fdrepaird_solve_total Cumulative solver counters (SolveStats).")
-	snap := s.sv.Stats()
-	rv := reflect.ValueOf(snap)
-	rt := rv.Type()
-	type series struct {
-		name string
-		v    int64
-	}
-	var out []series
-	for i := 0; i < rt.NumField(); i++ {
-		tag := rt.Field(i).Tag.Get("json")
-		if tag == "" || tag == "-" || rt.Field(i).Type.Kind() != reflect.Int64 {
-			continue
-		}
-		out = append(out, series{"fdrepaird_solve_" + tag + "_total", rv.Field(i).Int()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	for _, o := range out {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", o.name, o.name, o.v)
+	for name, v := range s.sv.Stats().Counters() {
+		name = "fdrepaird_solve_" + name + "_total"
+		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
 	}
 }

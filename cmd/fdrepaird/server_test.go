@@ -427,6 +427,39 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
+	// Every solver counter is one series under its JSON name; perfbench
+	// reads serve-mixed's solve.* counters from these names.
+	for _, name := range []string{
+		"fdrepaird_solve_nodes_total",
+		"fdrepaird_solve_blocks_serial_total",
+		"fdrepaird_solve_blocks_parallel_total",
+		"fdrepaird_solve_task_steals_total",
+		"fdrepaird_solve_tasks_inlined_total",
+		"fdrepaird_solve_matcher_fast_path_total",
+		"fdrepaird_solve_matcher_dense_total",
+		"fdrepaird_solve_matcher_sparse_total",
+		"fdrepaird_solve_planner_components_total",
+		"fdrepaird_solve_planner_trivial_total",
+		"fdrepaird_solve_planner_key_swap_total",
+		"fdrepaird_solve_planner_common_lhs_total",
+		"fdrepaird_solve_planner_approx_total",
+		"fdrepaird_solve_planner_consensus_total",
+		"fdrepaird_solve_planner_max_component_fds_total",
+		"fdrepaird_solve_cfd_patterns_total",
+		"fdrepaird_solve_denial_predicates_total",
+		"fdrepaird_solve_cqa_certain_total",
+		"fdrepaird_solve_priority_levels_total",
+		"fdrepaird_solve_arena_hits_total",
+		"fdrepaird_solve_arena_misses_total",
+		"fdrepaird_solve_panics_total",
+	} {
+		if !strings.Contains(body, "# TYPE "+name+" counter\n"+name+" ") {
+			t.Errorf("metrics missing series %s:\n%s", name, body)
+		}
+	}
+	if got := strings.Count(body, "\nfdrepaird_solve_"); got != 22 {
+		t.Errorf("metrics list %d solver series, want 22:\n%s", got, body)
+	}
 }
 
 func TestRetryAfterRounding(t *testing.T) {

@@ -195,9 +195,7 @@ func (s *Solver) runRequest(wc *solve.Ctx, i int, r Request, cfg batchConfig, ru
 	defer func() {
 		if rec := recover(); rec != nil {
 			res.Err = solve.NewPanicError(rec)
-			if st != nil {
-				st.Panics.Add(1)
-			}
+			st.Add(solve.Panics, 1)
 		}
 		if st != nil {
 			res.Stats = st.Snapshot()

@@ -178,12 +178,6 @@
 //     but it silently degrades the arena hit rate the perf snapshots
 //     gate on.
 //
-//   - fdlint/statsatomic — solve.Stats fields are atomic counters
-//     updated concurrently by worker goroutines; outside their owning
-//     package they may only be read via Load/Snapshot, never written,
-//     copied or dereferenced raw. Guards the concurrent stats sink the
-//     scheduler and the daemon's /metrics endpoint both feed from.
-//
 //   - fdlint/determinism — solve-path code may not read wall-clock
 //     time, use the package-global math/rand source, or feed map
 //     iteration order into a slice without sorting. Repairs must be
@@ -196,6 +190,10 @@
 //     established, and loops that dispatch ctx-threaded work must poll
 //     between dispatches. Keeps cancellation latency bounded so
 //     deadlines and drains observe it promptly.
+//
+// The solve counters need no analyzer: solve.Stats keeps them in
+// unexported atomic cells written only through Add and Max, and go
+// vet's copylocks check rejects any copy of a Stats.
 //
 // Findings are suppressed only with a reasoned directive on the
 // offending statement (the reason is mandatory; a bare directive is

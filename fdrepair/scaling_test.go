@@ -105,28 +105,45 @@ func scalingInput(a Algorithm, n int, rng *rand.Rand) (*Table, map[string][]stri
 	return tab, params
 }
 
-// TestApproxAllocGuard bounds the allocations of one
-// Solver.ApproxSRepair on serve-mixed's approx shape: 6,400 rows, A, B
-// and C uniform over 800 values, A -> C and B -> C, weights 1–4. The
+// TestApproxAllocGuard bounds the allocations of one 6,400-row solve
+// of each 2-approximation engine on its scaling input, serve-mixed's
+// shapes: A, B and C uniform over 800 values, weights 1–4. The
 // conflict pairs stay row positions from the table's projection codes
-// to the cover and the kept rows, so a solve allocates a few dozen
-// slices; an id map, an adjacency list or a map cover costs an
-// allocation per row or per edge.
+// to the cover and the kept rows, so an approx solve allocates a few
+// dozen slices; an id map, an adjacency list or a map cover costs an
+// allocation per row or per edge. CFD allocates one edge buffer per
+// conflicting lhs group (a map and a slice per rhs value cost 18,282
+// allocations), and denial parses each distinct value once (parsing
+// every cell cost 53,402).
 func TestApproxAllocGuard(t *testing.T) {
-	tab, params := scalingInput(AlgoApproxSRepair, 6400, rand.New(rand.NewSource(6400)))
-	ds := MustFDs(tab.Schema(), params["fd"]...)
-	sv := NewSolver()
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for range b.N {
-			if _, _, err := sv.ApproxSRepair(ds, tab); err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		a     Algorithm
+		limit int64
+	}{
+		{AlgoApproxSRepair, 1000},
+		{AlgoCFDSRepair, 2500},
+		{AlgoDenialSRepair, 25000},
+	} {
+		t.Run(tc.a.Alias(), func(t *testing.T) {
+			tab, params := scalingInput(tc.a, 6400, rand.New(rand.NewSource(6400)))
+			req, err := ParseRequest(tab, tc.a, params)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	got := res.AllocsPerOp()
-	t.Logf("%d allocations, %d B per solve", got, res.AllocedBytesPerOp())
-	if got >= 1000 {
-		t.Errorf("Solver.ApproxSRepair on 6,400 rows makes %d allocations per solve, want under 1,000", got)
+			sv := NewSolver()
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					if r := sv.Solve(req); r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+			})
+			got := res.AllocsPerOp()
+			t.Logf("%d allocations, %d B per solve", got, res.AllocedBytesPerOp())
+			if got >= tc.limit {
+				t.Errorf("%v on 6,400 rows makes %d allocations per solve, want under %d", tc.a, got, tc.limit)
+			}
+		})
 	}
 }

@@ -31,9 +31,11 @@ type PanicError = solve.PanicError
 // a worker other than their producer), matcher path dispatches
 // (singleton/star fast path, dense Hungarian, sparse
 // Jonker–Volgenant), the U-repair planner's per-component decisions,
-// and scratch-arena reuse. All fields are cumulative across the
-// solver's solves since the last ResetStats; the zero value means
-// stats were not enabled.
+// the extension engines' counts (CFD patterns, denial predicates,
+// certain answers, priority levels), scratch-arena reuse and recovered
+// panics. All fields are cumulative across the solver's solves since
+// the last ResetStats; the zero value means stats were not enabled.
+// Counters yields every field as (JSON name, value) in field order.
 type SolveStats = solve.Snapshot
 
 // Solver is a per-configuration repair engine: it owns a worker

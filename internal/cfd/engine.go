@@ -15,6 +15,9 @@ package cfd
 // builds a graph.
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/schema"
 	"repro/internal/solve"
@@ -26,47 +29,43 @@ import (
 // plus that CFD's rhs code column. Units are scanned for conflicting
 // pairs independently, so they become scheduler tasks.
 type cfdUnit struct {
-	members  []int32 // survivor ordinals, ascending
+	members  []int32 // row indices, ascending
 	rhsCodes []int32 // whole-table rhs codes, indexed by row index
-	rows     []int32 // survivor ordinal -> row index
+	ord      []int32 // row index -> survivor ordinal
 }
 
-// edgesOf appends the unit's conflict edges (pairs of survivor
-// ordinals with differing rhs codes) to buf as graph.PackPair keys, in
-// output-proportional time: members are bucketed by rhs code, and edges
-// are the cross pairs of distinct buckets — never the O(g²) scan of a
-// clean group.
-func (u cfdUnit) edgesOf(buf []uint64) []uint64 {
-	// Bucket by rhs code in first-appearance order, preserving the
-	// ascending ordinal order within buckets.
-	type bucket struct {
-		code    int32
-		members []int32
-	}
-	var buckets []bucket
-	idx := make(map[int32]int, 4)
-	for _, m := range u.members {
-		code := u.rhsCodes[u.rows[m]]
-		b, ok := idx[code]
-		if !ok {
-			b = len(buckets)
-			idx[code] = b
-			buckets = append(buckets, bucket{code: code})
+// edgesOf returns the unit's conflict edges (pairs of survivor
+// ordinals with differing rhs codes) as graph.PackPair keys, in
+// output-proportional time: an arena copy of the members sorted by rhs
+// code falls into runs of equal codes, and the edges are the cross
+// pairs of distinct runs — never the O(g²) scan of a clean group. The
+// buffer is sized exactly, and nil for a clean group.
+func (u cfdUnit) edgesOf(c *solve.Ctx) []uint64 {
+	ms := c.Int32s(len(u.members))
+	copy(ms, u.members)
+	code := func(i int) int32 { return u.rhsCodes[ms[i]] }
+	slices.SortFunc(ms, func(a, b int32) int { return cmp.Compare(u.rhsCodes[a], u.rhsCodes[b]) })
+	edges := 0
+	for lo, hi := 0, 0; lo < len(ms); lo = hi {
+		for hi = lo + 1; hi < len(ms) && code(hi) == code(lo); hi++ {
 		}
-		buckets[b].members = append(buckets[b].members, m)
+		edges += (hi - lo) * (len(ms) - hi)
 	}
-	if len(buckets) < 2 {
-		return buf
-	}
-	for a := 0; a < len(buckets); a++ {
-		for b := a + 1; b < len(buckets); b++ {
-			for _, u1 := range buckets[a].members {
-				for _, u2 := range buckets[b].members {
-					buf = append(buf, graph.PackPair(min(u1, u2), max(u1, u2)))
+	var buf []uint64
+	if edges > 0 {
+		buf = make([]uint64, 0, edges)
+		next := 0 // start of the run after ms[i]'s
+		for i, a := range ms {
+			if i == next {
+				for next = i + 1; next < len(ms) && code(next) == code(i); next++ {
 				}
+			}
+			for _, b := range ms[next:] {
+				buf = append(buf, graph.PackPair(u.ord[min(a, b)], u.ord[max(a, b)]))
 			}
 		}
 	}
+	c.PutInt32s(ms)
 	return buf
 }
 
@@ -92,16 +91,16 @@ type problem struct {
 func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (problem, error) {
 	rows := t.Rows()
 	n := len(rows)
-	c.Stats().CFDPattern(len(cs))
+	c.Stats().Add(solve.CFDPatterns, int64(len(cs)))
 
 	// Forced deletions: unary violators, in row order (matching the seed
 	// scan). Constants are the only string comparisons in the engine.
 	var p problem
-	forcedMask := make([]bool, n)
+	ord := make([]int32, n) // row index -> survivor ordinal; -1 when forced
 	for ri := range rows {
 		for _, cf := range cs {
 			if cf.UnaryViolation(rows[ri].Tuple) {
-				forcedMask[ri] = true
+				ord[ri] = -1
 				p.forced = append(p.forced, rows[ri].ID)
 				p.forcedCost += rows[ri].Weight
 				break
@@ -112,15 +111,16 @@ func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (problem, error) 
 	p.surv = make([]int32, 0, n-len(p.forced))
 	p.weights = make([]float64, 0, n-len(p.forced))
 	for ri := range rows {
-		if !forcedMask[ri] {
+		if ord[ri] == 0 {
+			ord[ri] = int32(len(p.surv))
 			p.surv = append(p.surv, int32(ri))
 			p.weights = append(p.weights, rows[ri].Weight)
 		}
 	}
 
-	// One grouping pass per CFD: survivors matching the lhs pattern,
-	// bucketed by lhs projection code. Groups with ≥ 2 members become
-	// conflict units.
+	// One grouping pass per CFD: the survivors matching the lhs pattern,
+	// grouped by lhs projection. Groups with ≥ 2 members become conflict
+	// units.
 	var units []cfdUnit
 	for _, cf := range cs {
 		if err := c.Err(); err != nil {
@@ -130,29 +130,16 @@ func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (problem, error) 
 		for _, a := range cf.lhs {
 			lhsSet = lhsSet.Add(a)
 		}
-		lhsCodes, lhsGroups := t.ProjectionCodes(lhsSet)
+		match := make([]int32, 0, len(p.surv))
+		for _, ri := range p.surv {
+			if cf.matchesLHS(rows[ri].Tuple) {
+				match = append(match, ri)
+			}
+		}
 		rhsCodes, _ := t.ProjectionCodes(schema.Singleton(cf.rhs))
-		codeToLocal := c.Int32s(lhsGroups)
-		for i := range codeToLocal {
-			codeToLocal[i] = -1
-		}
-		var groups [][]int32 // survivor ordinals per lhs code
-		for ord, ri := range p.surv {
-			if !cf.matchesLHS(rows[ri].Tuple) {
-				continue
-			}
-			l := codeToLocal[lhsCodes[ri]]
-			if l < 0 {
-				l = int32(len(groups))
-				codeToLocal[lhsCodes[ri]] = l
-				groups = append(groups, nil)
-			}
-			groups[l] = append(groups[l], int32(ord))
-		}
-		c.PutInt32s(codeToLocal)
-		for _, members := range groups {
+		for _, members := range table.ViewOfRows(t, match).GroupBy(lhsSet) {
 			if len(members) >= 2 {
-				units = append(units, cfdUnit{members: members, rhsCodes: rhsCodes, rows: p.surv})
+				units = append(units, cfdUnit{members: members, rhsCodes: rhsCodes, ord: ord})
 			}
 		}
 	}
@@ -166,7 +153,7 @@ func repairProblemCtx(c *solve.Ctx, cs []*CFD, t *table.Table) (problem, error) 
 			if err := wc.Err(); err != nil {
 				return err
 			}
-			unitEdges[i] = units[i].edgesOf(nil)
+			unitEdges[i] = units[i].edgesOf(wc)
 			return nil
 		})
 	if err != nil {

@@ -168,7 +168,7 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 func solverFlags(fs *flag.FlagSet) func(stderr io.Writer) (*fdrepair.Solver, func(), func()) {
 	workers := fs.Int("workers", 1, "worker budget for independent repair blocks (1 = serial)")
 	timeout := fs.Duration("timeout", 0, "abort the solve after this duration (0 = no deadline)")
-	stats := fs.Bool("stats", false, "print solve counters (nodes, scheduler tasks, matcher paths, planner decisions, arena reuse) to stderr")
+	stats := fs.Bool("stats", false, "print every solve counter (nodes, scheduler tasks, matcher paths, planner decisions, engine counts, arena reuse, panics) to stderr")
 	return func(stderr io.Writer) (*fdrepair.Solver, func(), func()) {
 		opts := []fdrepair.SolverOption{fdrepair.WithParallelism(*workers)}
 		cancel := func() {}
@@ -183,22 +183,21 @@ func solverFlags(fs *flag.FlagSet) func(stderr io.Writer) (*fdrepair.Solver, fun
 		sv := fdrepair.NewSolver(opts...)
 		report := func() {}
 		if *stats {
-			report = func() {
-				s := sv.Stats()
-				fmt.Fprintf(stderr, "solve stats: nodes=%d tasks(inline/executed/stolen/tiny-inlined)=%d/%d/%d/%d matcher(fast/dense/sparse)=%d/%d/%d arena(hit/miss)=%d/%d\n",
-					s.Nodes, s.BlocksSerial, s.BlocksParallel, s.Steals, s.TasksInlined,
-					s.MatcherFastPath, s.MatcherDense, s.MatcherSparse,
-					s.ArenaHits, s.ArenaMisses)
-				if s.PlannerComponents > 0 {
-					fmt.Fprintf(stderr, "planner stats: components=%d won(trivial/keyswap/commonlhs/approx)=%d/%d/%d/%d consensus=%d max-component-fds=%d\n",
-						s.PlannerComponents, s.PlannerTrivial, s.PlannerKeySwap,
-						s.PlannerCommonLHS, s.PlannerApprox, s.PlannerConsensus,
-						s.PlannerMaxCompFDs)
-				}
-			}
+			report = func() { fmt.Fprintln(stderr, statsLine(sv.Stats())) }
 		}
 		return sv, cancel, report
 	}
+}
+
+// statsLine renders every solve counter as name=value, in counter
+// order under its JSON name.
+func statsLine(s fdrepair.SolveStats) string {
+	var b strings.Builder
+	b.WriteString("solve stats:")
+	for name, v := range s.Counters() {
+		fmt.Fprintf(&b, " %s=%d", name, v)
+	}
+	return b.String()
 }
 
 // loadTable streams a CSV file through the chunked ingester: peak
@@ -512,9 +511,7 @@ func cmdBatch(args []string, stdout, stderr io.Writer) error {
 				name, res.Cost, res.Table.Len(), in.Len())
 		}
 		if *stats {
-			s := res.Stats
-			fmt.Fprintf(stderr, "%s: solve stats: nodes=%d tasks(inline/executed/stolen/tiny-inlined)=%d/%d/%d/%d arena(hit/miss)=%d/%d\n",
-				name, s.Nodes, s.BlocksSerial, s.BlocksParallel, s.Steals, s.TasksInlined, s.ArenaHits, s.ArenaMisses)
+			fmt.Fprintf(stderr, "%s: %s\n", name, statsLine(res.Stats))
 		}
 		if res.CQA != nil {
 			// CQA produces answer sets, not a repaired table: the certain

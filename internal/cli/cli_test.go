@@ -123,6 +123,12 @@ func TestBatch(t *testing.T) {
 		t.Fatalf("batch urepair: code %d, stderr %q", code, errOut)
 	}
 
+	// -stats prints every solve counter, the extension engines' too.
+	_, errOut, code = run("batch", "-in", abc, "-mode", "cfd", "-cfd", "A -> B", "-stats")
+	if code != 0 || !strings.Contains(errOut, abc+": solve stats: nodes=") || !strings.Contains(errOut, " cfd_patterns=1 ") {
+		t.Fatalf("batch cfd -stats: code %d, stderr %q", code, errOut)
+	}
+
 	if _, _, code := run("batch", "-fd", "A -> B"); code != 1 {
 		t.Error("batch without -in must fail")
 	}

@@ -208,7 +208,7 @@ func ConsistentAnswersCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, q *Query) (*
 			}
 		}
 	}
-	c.Stats().CQACertainAnswers(len(certain))
+	c.Stats().Add(solve.CQACertain, int64(len(certain)))
 
 	certTuples := make(map[string]table.Tuple, len(certain))
 	for k := range certain {

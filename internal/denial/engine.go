@@ -20,6 +20,7 @@ import (
 	"strconv"
 
 	"repro/internal/graph"
+	"repro/internal/schema"
 	"repro/internal/solve"
 	"repro/internal/table"
 )
@@ -39,21 +40,31 @@ type colKeys struct {
 
 // keySet lazily compiles the columns a constraint set references.
 type keySet struct {
+	t    *table.Table
 	rows []table.Row
 	cols []*colKeys // indexed by attribute
 }
 
-func newKeySet(rows []table.Row, arity int) *keySet {
-	return &keySet{rows: rows, cols: make([]*colKeys, arity)}
+func newKeySet(t *table.Table) *keySet {
+	return &keySet{t: t, rows: t.Rows(), cols: make([]*colKeys, t.Schema().Arity())}
 }
 
+// col compiles column a, parsing each distinct value once: rows with
+// equal dictionary codes hold equal strings.
 func (k *keySet) col(a int) *colKeys {
 	if k.cols[a] == nil {
+		codes, distinct := k.t.ProjectionCodes(schema.Singleton(a))
+		parsed := make([]int8, distinct) // by code: 0 not yet parsed, 1 numeric, -1 not numeric
+		nums := make([]float64, distinct)
 		ck := &colKeys{isNum: make([]bool, len(k.rows)), num: make([]float64, len(k.rows))}
-		for ri := range k.rows {
-			if f, err := strconv.ParseFloat(k.rows[ri].Tuple[a], 64); err == nil {
-				ck.isNum[ri], ck.num[ri] = true, f
+		for ri, cd := range codes {
+			if parsed[cd] == 0 {
+				parsed[cd] = -1
+				if f, err := strconv.ParseFloat(k.rows[ri].Tuple[a], 64); err == nil {
+					parsed[cd], nums[cd] = 1, f
+				}
 			}
+			ck.isNum[ri], ck.num[ri] = parsed[cd] > 0, nums[cd]
 		}
 		k.cols[a] = ck
 	}
@@ -224,8 +235,8 @@ func conflictPairs(c *solve.Ctx, cs []*Constraint, t *table.Table) ([][2]int32, 
 	for _, cn := range cs {
 		atoms += len(cn.atoms)
 	}
-	c.Stats().DenialPredicate(atoms)
-	keys := newKeySet(rows, t.Schema().Arity())
+	c.Stats().Add(solve.DenialPredicates, int64(atoms))
+	keys := newKeySet(t)
 	var units []denialUnit
 	classCache := make(map[int][]int32)
 	for _, cn := range cs {

@@ -559,13 +559,13 @@ const denseComponentLimit = 64
 // solver's phase loop.
 func solveComponent(c component, ctx *solve.Ctx) ([]int32, error) {
 	if len(c.edges) == 1 {
-		ctx.Stats().MatcherPath(solve.MatcherFast)
+		ctx.Stats().Add(solve.MatcherFastPath, 1)
 		return []int32{c.edges[0].ei}, nil // a single positive edge is always matched
 	}
 	if c.nL == 1 || c.nR == 1 {
 		// One-sided star: every edge shares a node, so a matching picks
 		// exactly one — the heaviest (first among ties).
-		ctx.Stats().MatcherPath(solve.MatcherFast)
+		ctx.Stats().Add(solve.MatcherFastPath, 1)
 		best := c.edges[0]
 		for _, e := range c.edges[1:] {
 			if e.w > best.w {
@@ -575,10 +575,10 @@ func solveComponent(c component, ctx *solve.Ctx) ([]int32, error) {
 		return []int32{best.ei}, nil
 	}
 	if c.nL*c.nR <= denseComponentLimit {
-		ctx.Stats().MatcherPath(solve.MatcherDensePath)
+		ctx.Stats().Add(solve.MatcherDense, 1)
 		return solveDense(c, ctx), nil
 	}
-	ctx.Stats().MatcherPath(solve.MatcherSparsePath)
+	ctx.Stats().Add(solve.MatcherSparse, 1)
 	return solveSparse(c, ctx)
 }
 

@@ -1,7 +1,7 @@
 // Package lintutil holds the shared vocabulary of the fdlint
 // analyzers: which packages form the solve path (where determinism and
 // cancellation invariants apply), and type predicates for the
-// solve.Ctx / solve.Stats types the invariants revolve around.
+// solve.Ctx type the invariants revolve around.
 package lintutil
 
 import (
@@ -11,7 +11,7 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// SolvePkg is the import path of the package owning Ctx and Stats.
+// SolvePkg is the import path of the package owning Ctx.
 const SolvePkg = "repro/internal/solve"
 
 // solvePath lists the packages whose code executes inside a solve —
@@ -51,14 +51,6 @@ func IsCtxPtr(t types.Type) bool {
 		return false
 	}
 	return isNamed(p.Elem(), SolvePkg, "Ctx")
-}
-
-// IsStats reports whether t (after pointer stripping) is solve.Stats.
-func IsStats(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return isNamed(t, SolvePkg, "Stats")
 }
 
 func isNamed(t types.Type, pkg, name string) bool {

@@ -263,7 +263,7 @@ func CRepairCtx(c *solve.Ctx, ds *fd.Set, t *table.Table, r *Relation) (*table.T
 		i := label[root] - 1
 		strata[i] = append(strata[i], ri)
 	}
-	c.Stats().PriorityLevel(len(strata))
+	c.Stats().Add(solve.PriorityLevels, int64(len(strata)))
 
 	err = c.ForEachBlock(len(strata),
 		func(i int) int { return len(strata[i]) },

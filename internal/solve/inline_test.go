@@ -61,15 +61,15 @@ func TestForEachBlockTinyInline(t *testing.T) {
 	if err := cs.ForEachBlock(4, func(int) int { return 1 }, func(*Ctx, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.TasksInlined.Load(); got != 0 {
+	if got := st2.Snapshot().TasksInlined; got != 0 {
 		t.Fatalf("serial context tasks_inlined = %d, want 0", got)
 	}
 
 	// The counter survives Snapshot/Merge/Reset round trips.
 	agg := new(Stats)
 	agg.Merge(snap)
-	if agg.TasksInlined.Load() != snap.TasksInlined {
-		t.Fatalf("merge lost tasks_inlined: %d vs %d", agg.TasksInlined.Load(), snap.TasksInlined)
+	if got := agg.Snapshot().TasksInlined; got != snap.TasksInlined {
+		t.Fatalf("merge lost tasks_inlined: %d vs %d", got, snap.TasksInlined)
 	}
 	agg.Reset()
 	if agg.Snapshot() != (Snapshot{}) {

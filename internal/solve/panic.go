@@ -53,9 +53,7 @@ func NewPanicError(v any) *PanicError {
 func runBlock(c *Ctx, fn func(*Ctx, int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if st := c.Stats(); st != nil {
-				st.Panics.Add(1)
-			}
+			c.Stats().Add(Panics, 1)
 			err = NewPanicError(r)
 		}
 	}()

@@ -47,7 +47,7 @@ func TestForEachBlockPanicIsolation(t *testing.T) {
 		if got := ran.Load(); got != want {
 			t.Fatalf("workers=%d: %d sibling blocks ran, want %d", workers, got, want)
 		}
-		if got := stats.Panics.Load(); got != 1 {
+		if got := stats.Snapshot().Panics; got != 1 {
 			t.Fatalf("workers=%d: Panics = %d, want 1", workers, got)
 		}
 		// The scheduler must be fully usable after the recovered panic.

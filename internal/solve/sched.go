@@ -234,9 +234,7 @@ func (s *sched) findTask(w *worker) (task, bool) {
 		v := s.workers[(int(w.id)+off)%n]
 		if t, ok := v.dq.steal(); ok {
 			s.queued.Add(-1)
-			if st := t.j.stats; st != nil {
-				st.Steals.Add(1)
-			}
+			t.j.stats.Add(Steals, 1)
 			return t, true
 		}
 	}
@@ -261,9 +259,7 @@ func (s *sched) run(w *worker, t task) {
 	if err != nil {
 		t.j.errs[t.i] = err
 	}
-	if st := t.j.stats; st != nil {
-		st.BlocksParallel.Add(1)
-	}
+	t.j.stats.Add(BlocksParallel, 1)
 	t.j.finish(1)
 }
 
@@ -340,9 +336,7 @@ func (c *Ctx) ForEachBlock(n int, size func(i int) int, fn func(c *Ctx, i int) e
 		}
 	}
 	if allTiny {
-		if st := c.Stats(); st != nil {
-			st.TasksInlined.Add(int64(n))
-		}
+		c.Stats().Add(TasksInlined, int64(n))
 		return serialBlocks(c, n, fn)
 	}
 	s := sh.sched
@@ -395,12 +389,8 @@ func (c *Ctx) ForEachBlock(n int, size func(i int) int, fn func(c *Ctx, i int) e
 	if acquired {
 		s.release(w)
 	}
-	if st := j.stats; st != nil && inline > 0 {
-		st.BlocksSerial.Add(inline)
-		if tiny > 0 {
-			st.TasksInlined.Add(tiny)
-		}
-	}
+	j.stats.Add(BlocksSerial, inline)
+	j.stats.Add(TasksInlined, tiny)
 	for _, err := range j.errs {
 		if err != nil {
 			return err
@@ -416,22 +406,17 @@ func (c *Ctx) ForEachBlock(n int, size func(i int) int, fn func(c *Ctx, i int) e
 // serial solves stop at block boundaries after a deadline even when
 // the block bodies carry no internal check.
 func serialBlocks(c *Ctx, n int, fn func(*Ctx, int) error) error {
-	st := c.Stats()
 	for i := 0; i < n; i++ {
 		err := c.Err()
 		if err == nil {
 			err = runBlock(c, fn, i)
 		}
 		if err != nil {
-			if st != nil {
-				st.BlocksSerial.Add(int64(i + 1))
-			}
+			c.Stats().Add(BlocksSerial, int64(i+1))
 			return err
 		}
 	}
-	if st != nil {
-		st.BlocksSerial.Add(int64(n))
-	}
+	c.Stats().Add(BlocksSerial, int64(n))
 	return nil
 }
 

@@ -19,9 +19,10 @@
 //   - cooperative cancellation: an optional context.Context checked at
 //     task dispatch, recursion and component boundaries, so a
 //     deadline-exceeded solve returns promptly instead of burning CPU;
-//   - an optional Stats record (recursion nodes, tasks inline /
-//     executed / stolen, matcher path hits, U-repair planner
-//     decisions, arena reuse).
+//   - an optional Stats record, one atomic cell per Counter (recursion
+//     nodes, tasks inline / executed / stolen, matcher path hits,
+//     U-repair planner decisions, extension-engine counts, arena
+//     reuse, recovered panics).
 //
 // The package depends only on the standard library so every internal
 // package can import it without cycles. All Ctx methods are safe on a
@@ -31,7 +32,9 @@ package solve
 
 import (
 	"context"
+	"iter"
 	"math/bits"
+	"reflect"
 	"sync"
 	"sync/atomic"
 )
@@ -155,17 +158,17 @@ func (c *Ctx) GetScratch(key any) any {
 	}
 	if c.w != nil {
 		if v := c.w.ar.getKeyed(key); v != nil {
-			c.Stats().arena(true)
+			c.Stats().Add(ArenaHits, 1)
 			return v
 		}
 	}
 	if p, ok := c.s.keyed.Load(key); ok {
 		if v := p.(*sync.Pool).Get(); v != nil {
-			c.Stats().arena(true)
+			c.Stats().Add(ArenaHits, 1)
 			return v
 		}
 	}
-	c.Stats().arena(false)
+	c.Stats().Add(ArenaMisses, 1)
 	return nil
 }
 
@@ -211,14 +214,14 @@ func (c *Ctx) Int32s(n int) []int32 {
 	if c != nil {
 		if c.w != nil {
 			if s, ok := c.w.ar.getInt32s(n); ok {
-				c.Stats().arena(true)
+				c.Stats().Add(ArenaHits, 1)
 				return s[:n]
 			}
 		}
 		if v := c.s.int32s.Get(); v != nil {
 			s := *v.(*[]int32)
 			if cap(s) >= n {
-				c.Stats().arena(true)
+				c.Stats().Add(ArenaHits, 1)
 				return s[:n]
 			}
 			// Too small: drop it. Re-putting would park it in the
@@ -226,7 +229,7 @@ func (c *Ctx) Int32s(n int) []int32 {
 			// every later request on this P — churning small buffers
 			// is cheaper than persistently missing on the big ones.
 		}
-		c.Stats().arena(false)
+		c.Stats().Add(ArenaMisses, 1)
 	}
 	return make([]int32, n, ceilPow2(n))
 }
@@ -250,20 +253,20 @@ func (c *Ctx) Int32Slices(n int) [][]int32 {
 	if c != nil {
 		if c.w != nil {
 			if s, ok := c.w.ar.getSlices(n); ok {
-				c.Stats().arena(true)
+				c.Stats().Add(ArenaHits, 1)
 				return s[:n]
 			}
 		}
 		if v := c.s.slices.Get(); v != nil {
 			s := *v.(*[][]int32)
 			if cap(s) >= n {
-				c.Stats().arena(true)
+				c.Stats().Add(ArenaHits, 1)
 				// Entries were nilled by PutInt32Slices.
 				return s[:n]
 			}
 			// Too small: drop (see Int32s).
 		}
-		c.Stats().arena(false)
+		c.Stats().Add(ArenaMisses, 1)
 	}
 	return make([][]int32, n, ceilPow2(n))
 }
@@ -295,19 +298,19 @@ func (c *Ctx) Float64s(n int) []float64 {
 	if c != nil {
 		if c.w != nil {
 			if s, ok := c.w.ar.getFloat64s(n); ok {
-				c.Stats().arena(true)
+				c.Stats().Add(ArenaHits, 1)
 				return s[:n]
 			}
 		}
 		if v := c.s.f64s.Get(); v != nil {
 			s := *v.(*[]float64)
 			if cap(s) >= n {
-				c.Stats().arena(true)
+				c.Stats().Add(ArenaHits, 1)
 				return s[:n]
 			}
 			// Too small: drop (see Int32s).
 		}
-		c.Stats().arena(false)
+		c.Stats().Add(ArenaMisses, 1)
 	}
 	return make([]float64, n, ceilPow2(n))
 }
@@ -326,13 +329,13 @@ func (c *Ctx) PutFloat64s(s []float64) {
 
 // ---- Stats ----
 
-// Stats accumulates solve counters. All fields are atomic so one Stats
-// may sink many concurrent solves (per-Solver aggregation); read a
-// consistent copy with Snapshot. A nil *Stats is a valid "don't
-// collect" sink for every method.
-type Stats struct {
+// Counter names one solve counter: cell k of Stats and field k of
+// Snapshot.
+type Counter int
+
+const (
 	// Nodes counts recursion nodes visited by OptSRepair.
-	Nodes atomic.Int64
+	Nodes Counter = iota
 	// BlocksSerial counts sibling blocks (and matching components, and
 	// planner components) run inline — on the serial path, below the
 	// task-size threshold, or when the scheduler was saturated.
@@ -340,32 +343,33 @@ type Stats struct {
 	// executed from a deque (by any worker). Steals counts the subset
 	// of those executed by a worker other than their producer, i.e.
 	// FIFO steals across the task graph; Steals ≤ BlocksParallel.
-	BlocksSerial   atomic.Int64
-	BlocksParallel atomic.Int64
-	Steals         atomic.Int64
+	BlocksSerial
+	BlocksParallel
+	Steals
 	// TasksInlined counts blocks the scheduler chose to run inline
 	// because they fell below the task-size threshold
 	// (MinParallelBlock) — the granularity decision, as opposed to
 	// BlocksSerial which also counts serial-context and saturation
 	// fallbacks. Counted only when a scheduler was available to enqueue
 	// on; TasksInlined ≤ BlocksSerial.
-	TasksInlined atomic.Int64
+	TasksInlined
 	// Matcher path counters: singleton/star fast paths, dense Hungarian
 	// fallbacks, and sparse Jonker–Volgenant component solves.
-	MatcherFastPath atomic.Int64
-	MatcherDense    atomic.Int64
-	MatcherSparse   atomic.Int64
+	MatcherFastPath
+	MatcherDense
+	MatcherSparse
 	// U-repair planner decisions: components seen, which subroutine won
 	// each (trivial / key-swap / common-lhs via OptSRepair / combined
-	// approximation), whether consensus elimination changed cells, and
-	// the largest component's FD count.
-	PlannerComponents atomic.Int64
-	PlannerTrivial    atomic.Int64
-	PlannerKeySwap    atomic.Int64
-	PlannerCommonLHS  atomic.Int64
-	PlannerApprox     atomic.Int64
-	PlannerConsensus  atomic.Int64
-	PlannerMaxCompFDs atomic.Int64
+	// approximation), consensus-elimination phases that changed cells,
+	// and the largest component's FD count (a high-water mark, raised
+	// with Max).
+	PlannerComponents
+	PlannerTrivial
+	PlannerKeySwap
+	PlannerCommonLHS
+	PlannerApprox
+	PlannerConsensus
+	PlannerMaxCompFDs
 	// Constraint-extension counters, one per class ported onto the
 	// solver core: CFDPatterns counts pattern tableaux evaluated against
 	// the encoded table, DenialPredicates counts compiled denial atoms
@@ -373,145 +377,56 @@ type Stats struct {
 	// established by the per-component factorization, and PriorityLevels
 	// counts the conflict strata (components) admitted independently by
 	// the prioritized greedy.
-	CFDPatterns      atomic.Int64
-	DenialPredicates atomic.Int64
-	CQACertain       atomic.Int64
-	PriorityLevels   atomic.Int64
+	CFDPatterns
+	DenialPredicates
+	CQACertain
+	PriorityLevels
 	// ArenaHits / ArenaMisses count scratch requests served from the
 	// arena vs freshly allocated.
-	ArenaHits   atomic.Int64
-	ArenaMisses atomic.Int64
+	ArenaHits
+	ArenaMisses
 	// Panics counts panics recovered at block-dispatch and request
 	// boundaries (panic isolation): each one failed a single block or
 	// request instead of the process.
-	Panics atomic.Int64
-}
+	Panics
 
-func (s *Stats) arena(hit bool) {
-	if s == nil {
-		return
-	}
-	if hit {
-		s.ArenaHits.Add(1)
-	} else {
-		s.ArenaMisses.Add(1)
-	}
-}
-
-// Node counts one recursion node.
-func (s *Stats) Node() {
-	if s != nil {
-		s.Nodes.Add(1)
-	}
-}
-
-// MatcherPath counts one component solved by the named matcher path.
-func (s *Stats) MatcherPath(kind MatcherKind) {
-	if s == nil {
-		return
-	}
-	switch kind {
-	case MatcherFast:
-		s.MatcherFastPath.Add(1)
-	case MatcherDensePath:
-		s.MatcherDense.Add(1)
-	case MatcherSparsePath:
-		s.MatcherSparse.Add(1)
-	}
-}
-
-// MatcherKind names the component fast paths of the sparse matcher.
-type MatcherKind int
-
-const (
-	MatcherFast MatcherKind = iota // singleton edge or one-sided star
-	MatcherDensePath
-	MatcherSparsePath
+	numCounters
 )
 
-// PlannerPath names the subroutine that won a U-repair planner
-// component.
-type PlannerPath int
-
-const (
-	PlannerPathTrivial PlannerPath = iota
-	PlannerPathKeySwap
-	PlannerPathCommonLHS
-	PlannerPathApprox
-)
-
-// Planner counts one planner component solved by the named path; fds
-// is the component's FD count (the largest seen is retained).
-func (s *Stats) Planner(kind PlannerPath, fds int) {
-	if s == nil {
-		return
-	}
-	s.PlannerComponents.Add(1)
-	switch kind {
-	case PlannerPathTrivial:
-		s.PlannerTrivial.Add(1)
-	case PlannerPathKeySwap:
-		s.PlannerKeySwap.Add(1)
-	case PlannerPathCommonLHS:
-		s.PlannerCommonLHS.Add(1)
-	case PlannerPathApprox:
-		s.PlannerApprox.Add(1)
-	}
-	atomicMax(&s.PlannerMaxCompFDs, int64(fds))
+// Stats accumulates the solve counters, one atomic cell per Counter,
+// so one Stats may sink many concurrent solves (per-Solver
+// aggregation). The cells are unexported, so they are written only
+// through Add, Max, Merge and Reset and read only through Snapshot, and
+// go vet's copylocks check rejects any copy of a Stats. A nil *Stats is
+// a valid "don't collect" sink for every method.
+type Stats struct {
+	c [numCounters]atomic.Int64
 }
 
-// atomicMax raises a to v when v is larger (the high-water counters).
-func atomicMax(a *atomic.Int64, v int64) {
-	if v <= 0 {
+// Add adds n to counter k. Adding zero stores nothing.
+func (s *Stats) Add(k Counter, n int64) {
+	if s != nil && n != 0 {
+		s.c[k].Add(n)
+	}
+}
+
+// Max raises counter k to v when v is larger (the high-water counters).
+func (s *Stats) Max(k Counter, v int64) {
+	if s == nil {
 		return
 	}
 	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
+		old := s.c[k].Load()
+		if v <= old || s.c[k].CompareAndSwap(old, v) {
 			return
 		}
 	}
 }
 
-// PlannerConsensusApplied counts one consensus-elimination phase that
-// changed cells.
-func (s *Stats) PlannerConsensusApplied() {
-	if s != nil {
-		s.PlannerConsensus.Add(1)
-	}
-}
-
-// CFDPattern counts n pattern tableaux evaluated by the CFD engine.
-func (s *Stats) CFDPattern(n int) {
-	if s != nil {
-		s.CFDPatterns.Add(int64(n))
-	}
-}
-
-// DenialPredicate counts n compiled denial atoms.
-func (s *Stats) DenialPredicate(n int) {
-	if s != nil {
-		s.DenialPredicates.Add(int64(n))
-	}
-}
-
-// CQACertainAnswers counts n certain answers established.
-func (s *Stats) CQACertainAnswers(n int) {
-	if s != nil {
-		s.CQACertain.Add(int64(n))
-	}
-}
-
-// PriorityLevel counts n conflict strata admitted by the prioritized
-// greedy.
-func (s *Stats) PriorityLevel(n int) {
-	if s != nil {
-		s.PriorityLevels.Add(int64(n))
-	}
-}
-
 // Snapshot is a plain-value copy of Stats, JSON-taggable for bench
-// snapshots and reports.
+// snapshots and reports. Field k is Counter k. A field tagged
+// merge:"max" is a high-water mark: Merge keeps the larger value
+// instead of the sum.
 type Snapshot struct {
 	Nodes int64 `json:"nodes"`
 	// Task scheduler: blocks run inline, executed as enqueued tasks,
@@ -531,7 +446,7 @@ type Snapshot struct {
 	PlannerCommonLHS  int64 `json:"planner_common_lhs"`
 	PlannerApprox     int64 `json:"planner_approx"`
 	PlannerConsensus  int64 `json:"planner_consensus"`
-	PlannerMaxCompFDs int64 `json:"planner_max_component_fds"`
+	PlannerMaxCompFDs int64 `json:"planner_max_component_fds" merge:"max"`
 	// Constraint-extension engines.
 	CFDPatterns      int64 `json:"cfd_patterns"`
 	DenialPredicates int64 `json:"denial_predicates"`
@@ -544,70 +459,50 @@ type Snapshot struct {
 	Panics int64 `json:"panics"`
 }
 
+// counterTags holds each counter's JSON name and merge rule, read once
+// from Snapshot's field tags.
+var counterTags = func() (tags [numCounters]struct {
+	name string
+	max  bool
+}) {
+	for k := range tags {
+		f := reflect.TypeFor[Snapshot]().Field(k)
+		tags[k].name, tags[k].max = f.Tag.Get("json"), f.Tag.Get("merge") == "max"
+	}
+	return tags
+}()
+
 // Snapshot returns a consistent-enough copy of the counters (each
 // counter is read atomically; the set is not a single atomic cut,
 // which is fine for reporting).
 func (s *Stats) Snapshot() Snapshot {
-	if s == nil {
-		return Snapshot{}
+	var snap Snapshot
+	if s != nil {
+		v := reflect.ValueOf(&snap).Elem()
+		for k := range s.c {
+			v.Field(k).SetInt(s.c[k].Load())
+		}
 	}
-	return Snapshot{
-		Nodes:             s.Nodes.Load(),
-		BlocksSerial:      s.BlocksSerial.Load(),
-		BlocksParallel:    s.BlocksParallel.Load(),
-		Steals:            s.Steals.Load(),
-		TasksInlined:      s.TasksInlined.Load(),
-		MatcherFastPath:   s.MatcherFastPath.Load(),
-		MatcherDense:      s.MatcherDense.Load(),
-		MatcherSparse:     s.MatcherSparse.Load(),
-		PlannerComponents: s.PlannerComponents.Load(),
-		PlannerTrivial:    s.PlannerTrivial.Load(),
-		PlannerKeySwap:    s.PlannerKeySwap.Load(),
-		PlannerCommonLHS:  s.PlannerCommonLHS.Load(),
-		PlannerApprox:     s.PlannerApprox.Load(),
-		PlannerConsensus:  s.PlannerConsensus.Load(),
-		PlannerMaxCompFDs: s.PlannerMaxCompFDs.Load(),
-		CFDPatterns:       s.CFDPatterns.Load(),
-		DenialPredicates:  s.DenialPredicates.Load(),
-		CQACertain:        s.CQACertain.Load(),
-		PriorityLevels:    s.PriorityLevels.Load(),
-		ArenaHits:         s.ArenaHits.Load(),
-		ArenaMisses:       s.ArenaMisses.Load(),
-		Panics:            s.Panics.Load(),
-	}
+	return snap
 }
 
 // Merge accumulates a snapshot into s (sum per counter, max for the
-// high-water PlannerMaxCompFDs). The batch layer collects each request
-// into its own Stats and merges the snapshot into the solver's
-// aggregate sink, so per-request slices and the cumulative Solver view
-// stay consistent without double-counting on the hot path.
+// high-water counters). The batch layer collects each request into its
+// own Stats and merges the snapshot into the solver's aggregate sink,
+// so per-request slices and the cumulative Solver view stay consistent
+// without double-counting on the hot path.
 func (s *Stats) Merge(o Snapshot) {
 	if s == nil {
 		return
 	}
-	s.Nodes.Add(o.Nodes)
-	s.BlocksSerial.Add(o.BlocksSerial)
-	s.BlocksParallel.Add(o.BlocksParallel)
-	s.Steals.Add(o.Steals)
-	s.TasksInlined.Add(o.TasksInlined)
-	s.MatcherFastPath.Add(o.MatcherFastPath)
-	s.MatcherDense.Add(o.MatcherDense)
-	s.MatcherSparse.Add(o.MatcherSparse)
-	s.PlannerComponents.Add(o.PlannerComponents)
-	s.PlannerTrivial.Add(o.PlannerTrivial)
-	s.PlannerKeySwap.Add(o.PlannerKeySwap)
-	s.PlannerCommonLHS.Add(o.PlannerCommonLHS)
-	s.PlannerApprox.Add(o.PlannerApprox)
-	s.PlannerConsensus.Add(o.PlannerConsensus)
-	atomicMax(&s.PlannerMaxCompFDs, o.PlannerMaxCompFDs)
-	s.CFDPatterns.Add(o.CFDPatterns)
-	s.DenialPredicates.Add(o.DenialPredicates)
-	s.CQACertain.Add(o.CQACertain)
-	s.PriorityLevels.Add(o.PriorityLevels)
-	s.ArenaHits.Add(o.ArenaHits)
-	s.ArenaMisses.Add(o.ArenaMisses)
-	s.Panics.Add(o.Panics)
+	v := reflect.ValueOf(&o).Elem()
+	for k := range numCounters {
+		if counterTags[k].max {
+			s.Max(k, v.Field(int(k)).Int())
+		} else {
+			s.Add(k, v.Field(int(k)).Int())
+		}
+	}
 }
 
 // Reset zeroes every counter.
@@ -615,26 +510,20 @@ func (s *Stats) Reset() {
 	if s == nil {
 		return
 	}
-	s.Nodes.Store(0)
-	s.BlocksSerial.Store(0)
-	s.BlocksParallel.Store(0)
-	s.Steals.Store(0)
-	s.TasksInlined.Store(0)
-	s.MatcherFastPath.Store(0)
-	s.MatcherDense.Store(0)
-	s.MatcherSparse.Store(0)
-	s.PlannerComponents.Store(0)
-	s.PlannerTrivial.Store(0)
-	s.PlannerKeySwap.Store(0)
-	s.PlannerCommonLHS.Store(0)
-	s.PlannerApprox.Store(0)
-	s.PlannerConsensus.Store(0)
-	s.PlannerMaxCompFDs.Store(0)
-	s.CFDPatterns.Store(0)
-	s.DenialPredicates.Store(0)
-	s.CQACertain.Store(0)
-	s.PriorityLevels.Store(0)
-	s.ArenaHits.Store(0)
-	s.ArenaMisses.Store(0)
-	s.Panics.Store(0)
+	for k := range s.c {
+		s.c[k].Store(0)
+	}
+}
+
+// Counters yields every counter as (JSON name, value) in Counter order:
+// the one listing behind fdrepaird's /metrics and the CLI's -stats.
+func (snap Snapshot) Counters() iter.Seq2[string, int64] {
+	return func(yield func(string, int64) bool) {
+		v := reflect.ValueOf(&snap).Elem()
+		for k, tag := range counterTags {
+			if !yield(tag.name, v.Field(k).Int()) {
+				return
+			}
+		}
+	}
 }

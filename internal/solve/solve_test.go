@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,7 +111,7 @@ func TestArenaReuseAndStats(t *testing.T) {
 	if len(s) != 100 {
 		t.Fatalf("len = %d", len(s))
 	}
-	if st.ArenaMisses.Load() == 0 {
+	if st.Snapshot().ArenaMisses == 0 {
 		t.Fatal("first Get must be a miss")
 	}
 	c.PutInt32s(s)
@@ -120,7 +121,7 @@ func TestArenaReuseAndStats(t *testing.T) {
 	// pair.
 	hit := false
 	for i := 0; i < 20 && !hit; i++ {
-		hit = cap(c.Int32s(64)) >= 100 && st.ArenaHits.Load() > 0
+		hit = cap(c.Int32s(64)) >= 100 && st.Snapshot().ArenaHits > 0
 		c.PutInt32s(make([]int32, 128))
 	}
 	if !hit {
@@ -279,26 +280,110 @@ func TestInterleavedScopesOnOneScheduler(t *testing.T) {
 	}
 }
 
+// TestStatsSnapshotAndReset pins the counter table for every Counter:
+// the constant and Snapshot field k carry the same name, Add lands in
+// exactly field k, Merge sums (keeping the max for the high-water
+// PlannerMaxCompFDs), Reset zeroes, Counters yields field k under its
+// JSON name, and a nil *Stats is a no-op.
 func TestStatsSnapshotAndReset(t *testing.T) {
-	st := new(Stats)
-	st.Node()
-	st.MatcherPath(MatcherFast)
-	st.MatcherPath(MatcherDensePath)
-	st.MatcherPath(MatcherSparsePath)
-	snap := st.Snapshot()
-	if snap.Nodes != 1 || snap.MatcherFastPath != 1 || snap.MatcherDense != 1 || snap.MatcherSparse != 1 {
-		t.Fatalf("snapshot %+v", snap)
+	counters := []struct {
+		k    Counter
+		name string
+	}{
+		{Nodes, "Nodes"},
+		{BlocksSerial, "BlocksSerial"},
+		{BlocksParallel, "BlocksParallel"},
+		{Steals, "Steals"},
+		{TasksInlined, "TasksInlined"},
+		{MatcherFastPath, "MatcherFastPath"},
+		{MatcherDense, "MatcherDense"},
+		{MatcherSparse, "MatcherSparse"},
+		{PlannerComponents, "PlannerComponents"},
+		{PlannerTrivial, "PlannerTrivial"},
+		{PlannerKeySwap, "PlannerKeySwap"},
+		{PlannerCommonLHS, "PlannerCommonLHS"},
+		{PlannerApprox, "PlannerApprox"},
+		{PlannerConsensus, "PlannerConsensus"},
+		{PlannerMaxCompFDs, "PlannerMaxCompFDs"},
+		{CFDPatterns, "CFDPatterns"},
+		{DenialPredicates, "DenialPredicates"},
+		{CQACertain, "CQACertain"},
+		{PriorityLevels, "PriorityLevels"},
+		{ArenaHits, "ArenaHits"},
+		{ArenaMisses, "ArenaMisses"},
+		{Panics, "Panics"},
 	}
-	st.Reset()
-	if st.Snapshot() != (Snapshot{}) {
-		t.Fatalf("reset left %+v", st.Snapshot())
+	snapType := reflect.TypeFor[Snapshot]()
+	if len(counters) != int(numCounters) || snapType.NumField() != int(numCounters) {
+		t.Fatalf("%d counters listed, %d Counter constants, %d Snapshot fields", len(counters), numCounters, snapType.NumField())
 	}
-	var nilStats *Stats
-	nilStats.Node()
-	nilStats.MatcherPath(MatcherFast)
-	nilStats.Reset()
-	if nilStats.Snapshot() != (Snapshot{}) {
-		t.Fatal("nil stats snapshot")
+	for i := range snapType.NumField() {
+		if f := snapType.Field(i); f.Type.Kind() != reflect.Int64 {
+			t.Fatalf("Snapshot field %s is a %s, want int64", f.Name, f.Type)
+		}
+	}
+	field := func(s Snapshot, i int) int64 { return reflect.ValueOf(s).Field(i).Int() }
+	for i, c := range counters {
+		t.Run(c.name, func(t *testing.T) {
+			if int(c.k) != i || snapType.Field(i).Name != c.name {
+				t.Fatalf("Counter %s = %d names Snapshot field %s", c.name, c.k, snapType.Field(int(c.k)).Name)
+			}
+			st := new(Stats)
+			st.Add(c.k, 3)
+			st.Add(c.k, 0)
+			snap := st.Snapshot()
+			for j := range counters {
+				want := int64(0)
+				if j == i {
+					want = 3
+				}
+				if got := field(snap, j); got != want {
+					t.Fatalf("Add(%s, 3): field %s = %d, want %d", c.name, snapType.Field(j).Name, got, want)
+				}
+			}
+			j := 0
+			for name, v := range snap.Counters() {
+				if name != snapType.Field(j).Tag.Get("json") || v != field(snap, j) {
+					t.Fatalf("Counters()[%d] = (%s, %d), want field %s", j, name, v, snapType.Field(j).Name)
+				}
+				j++
+			}
+			if j != len(counters) {
+				t.Fatalf("Counters yielded %d counters, want %d", j, len(counters))
+			}
+
+			agg := new(Stats)
+			agg.Add(c.k, 5)
+			agg.Merge(snap)
+			want := int64(8)
+			if c.k == PlannerMaxCompFDs {
+				want = 5
+			}
+			if got := field(agg.Snapshot(), i); got != want {
+				t.Fatalf("Add 5, Merge 3: %s = %d, want %d", c.name, got, want)
+			}
+			agg.Max(c.k, 2)
+			if got := field(agg.Snapshot(), i); got != want {
+				t.Fatalf("Max below the value changed %s to %d", c.name, got)
+			}
+			agg.Max(c.k, 100)
+			if got := field(agg.Snapshot(), i); got != 100 {
+				t.Fatalf("Max(100): %s = %d", c.name, got)
+			}
+			agg.Reset()
+			if agg.Snapshot() != (Snapshot{}) {
+				t.Fatalf("reset left %+v", agg.Snapshot())
+			}
+
+			var nilStats *Stats
+			nilStats.Add(c.k, 1)
+			nilStats.Max(c.k, 1)
+			nilStats.Merge(snap)
+			nilStats.Reset()
+			if nilStats.Snapshot() != (Snapshot{}) {
+				t.Fatal("nil stats snapshot")
+			}
+		})
 	}
 }
 

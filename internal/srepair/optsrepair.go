@@ -100,7 +100,7 @@ type solver struct {
 // the married pair X1∪X2), solve each block under the simplified set,
 // and combine the block repairs by the step's rule.
 func (s solver) solve(v table.View, depth int) ([]int32, error) {
-	s.c.Stats().Node()
+	s.c.Stats().Add(solve.Nodes, 1)
 	if err := s.c.Err(); err != nil {
 		return nil, err
 	}

@@ -90,7 +90,7 @@ func repairFull(c *solve.Ctx, ds *fd.Set, t *table.Table) (Result, error) {
 		cost += cc
 		if changed {
 			methods = append(methods, "consensus-majority")
-			c.Stats().PlannerConsensusApplied()
+			c.Stats().Add(solve.PlannerConsensus, 1)
 		}
 	}
 	rest := ds.Minus(consensus)
@@ -178,35 +178,36 @@ func commonLHSTractable(comp *fd.Set) bool {
 // component of the FD set against the full table, recording which
 // subroutine won (and the component's FD count) in the solve stats.
 func repairComponent(c *solve.Ctx, comp *fd.Set, t *table.Table) (Result, error) {
+	r, won, err := planComponent(c, comp, t)
+	if err == nil {
+		st := c.Stats()
+		st.Add(solve.PlannerComponents, 1)
+		st.Add(won, 1)
+		st.Max(solve.PlannerMaxCompFDs, int64(comp.Len()))
+	}
+	return r, err
+}
+
+// planComponent tries the component's subroutines in order and returns
+// the first repair with the planner counter of the subroutine that won.
+func planComponent(c *solve.Ctx, comp *fd.Set, t *table.Table) (Result, solve.Counter, error) {
 	if comp.IsTrivialSet() {
-		c.Stats().Planner(solve.PlannerPathTrivial, comp.Len())
-		return Result{Update: t.Clone(), Exact: true, RatioBound: 1, Method: "trivial"}, nil
+		return Result{Update: t.Clone(), Exact: true, RatioBound: 1, Method: "trivial"}, solve.PlannerTrivial, nil
 	}
 	if isKeySwap(comp) {
 		r, ok, err := keySwapRepair(c, comp, t)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			c.Stats().Planner(solve.PlannerPathKeySwap, comp.Len())
-			return r, nil
+		if err != nil || ok {
+			return r, solve.PlannerKeySwap, err
 		}
 	}
 	if commonLHSTractable(comp) {
 		r, ok, err := commonLHSRepair(c, comp, t)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			c.Stats().Planner(solve.PlannerPathCommonLHS, comp.Len())
-			return r, nil
+		if err != nil || ok {
+			return r, solve.PlannerCommonLHS, err
 		}
 	}
 	r, err := approxComponent(c, comp, t)
-	if err == nil {
-		c.Stats().Planner(solve.PlannerPathApprox, comp.Len())
-	}
-	return r, err
+	return r, solve.PlannerApprox, err
 }
 
 // commonLHSRepair implements Corollary 4.6 for sets with a common lhs
