@@ -30,10 +30,13 @@
 //
 // # Performance architecture
 //
-// The table core is dictionary-encoded: every column is lazily interned
-// into dense int32 value codes, and every attribute-set projection into
-// dense int32 group codes (internal/table/encoding.go). Equal codes ⇔
-// equal projections, so GroupBy, SatisfiesFD, Violations and
+// The table core is dictionary-encoded (internal/table/encoding.go):
+// every attribute-set projection is lazily interned into dense int32
+// codes. A column is a single-attribute projection, numbered by its
+// value dictionary; a multi-attribute projection folds its lowest
+// attribute onto the projection of the others, numbering the (rest
+// code, column code) pairs as one uint64 key. Equal codes ⇔ equal
+// projections, so GroupBy, SatisfiesFD, Violations and
 // ConflictPairs compare fixed-width integers instead of building
 // length-prefixed string keys per row. The encoding is cached on the
 // table, invalidated by mutation, and built under a mutex so concurrent
@@ -126,12 +129,10 @@
 // chain, the top-step block partition, and every block's previous
 // repair. Mutations route through Session.AppendRows and
 // Session.SetCells, which extend the live encoding in place —
-// appends intern only new dictionary entries and bucket only new rows;
-// cell updates re-intern the touched cells and re-code only the
-// projections whose attribute sets intersect the touched attributes
-// (a packed-key width overflow falls back to rebuilding that one
-// projection) — and record a dirty row set instead of invalidating the
-// encoding wholesale.
+// appends intern and bucket only the new rows; cell updates re-code
+// only the touched rows, and only in the projections whose attribute
+// sets intersect the touched attributes — and record a dirty row set
+// instead of invalidating the encoding wholesale.
 //
 // Session.Repair then exploits the block decomposition: the first
 // simplification step of the chain is data-independent, so the table

@@ -114,7 +114,8 @@ func scalingInput(a Algorithm, n int, rng *rand.Rand) (*Table, map[string][]stri
 // allocation per row or per edge. CFD allocates one edge buffer per
 // conflicting lhs group (a map and a slice per rhs value cost 18,282
 // allocations), and denial parses each distinct value once (parsing
-// every cell cost 53,402).
+// every cell cost 53,402) and keys its join groups by dictionary code
+// (a string map per row and a map of buckets cost 19,811).
 func TestApproxAllocGuard(t *testing.T) {
 	for _, tc := range []struct {
 		a     Algorithm
@@ -122,7 +123,7 @@ func TestApproxAllocGuard(t *testing.T) {
 	}{
 		{AlgoApproxSRepair, 1000},
 		{AlgoCFDSRepair, 2500},
-		{AlgoDenialSRepair, 25000},
+		{AlgoDenialSRepair, 16000},
 	} {
 		t.Run(tc.a.Alias(), func(t *testing.T) {
 			tab, params := scalingInput(tc.a, 6400, rand.New(rand.NewSource(6400)))

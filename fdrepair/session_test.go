@@ -18,8 +18,7 @@ func sessionFDSets() map[string]*FDSet {
 // mutateSession applies one random mutation step to the session and
 // mirrors it (by value) so the reference table can be rebuilt: a batch
 // append of 1–8 rows, or 1–8 cell updates drawing from the original
-// domain plus occasional never-seen values (growing the dictionaries,
-// eventually overflowing packed key widths).
+// domain plus occasional never-seen values (growing the dictionaries).
 func mutateSession(t *testing.T, s *Session, rng *rand.Rand, domain int) {
 	t.Helper()
 	val := func() string {

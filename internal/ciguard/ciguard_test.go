@@ -1,10 +1,11 @@
 // Package ciguard is a meta-test over .github/workflows/ci.yml: the
 // solver-lifecycle and chaos jobs select their suites with
-// hand-maintained `-run` regexes, and the bench smokes select theirs
-// with `-bench` regexes, which can silently drift as suites are added
-// or renamed (go test passes when a regex matches nothing). These tests
-// extract the regexes from the workflow and cross-check them against
-// the Test and Benchmark functions that actually exist in the covered
+// hand-maintained `-run` regexes, the bench smokes select theirs with
+// `-bench` regexes and the fuzz smokes their targets with `-fuzz`
+// regexes, which can silently drift as suites are added or renamed (go
+// test passes when a regex matches nothing). These tests extract the
+// regexes from the workflow and cross-check them against the Test,
+// Benchmark and Fuzz functions that actually exist in the covered
 // packages, and against the paperbench case names in BENCH_srepair.json.
 package ciguard
 
@@ -102,21 +103,39 @@ func runSelectors(t *testing.T) []selector {
 // the workflow, paired with the packages that line runs.
 func benchSelectors(t *testing.T) []selector {
 	t.Helper()
-	benchRe := regexp.MustCompile(`-bench[= ]'([^']+)'`)
+	out := lineSelectors(t, regexp.MustCompile(`-bench[= ]'([^']+)'`))
+	if len(out) < 2 {
+		t.Fatalf("expected the bench-smoke and scheduler -bench regexes in ci.yml, found %d", len(out))
+	}
+	return out
+}
+
+// fuzzSelectors extracts the `-fuzz` regex of every go test line of
+// the workflow, paired with the packages that line runs.
+func fuzzSelectors(t *testing.T) []selector {
+	t.Helper()
+	out := lineSelectors(t, regexp.MustCompile(`\s-fuzz[= ]'?([^'\s]+)`))
+	if len(out) == 0 {
+		t.Fatal("expected the fuzz-smoke -fuzz regexes in ci.yml, found none")
+	}
+	return out
+}
+
+// lineSelectors extracts the regex flagRe captures on every go test
+// line of the workflow, paired with the packages that line runs.
+func lineSelectors(t *testing.T, flagRe *regexp.Regexp) []selector {
+	t.Helper()
 	var out []selector
 	for _, line := range strings.Split(workflow(t), "\n") {
-		m := benchRe.FindStringSubmatch(line)
+		m := flagRe.FindStringSubmatch(line)
 		if m == nil || !strings.Contains(line, "go test") {
 			continue
 		}
 		re, err := regexp.Compile(m[1])
 		if err != nil {
-			t.Fatalf("workflow -bench regex %q does not compile: %v", m[1], err)
+			t.Fatalf("workflow regex %q does not compile: %v", m[1], err)
 		}
 		out = append(out, selector{re: re, dirs: packagePatterns(strings.Fields(line))})
-	}
-	if len(out) < 2 {
-		t.Fatalf("expected the bench-smoke and scheduler -bench regexes in ci.yml, found %d", len(out))
 	}
 	return out
 }
@@ -261,6 +280,29 @@ func TestBenchSelectorsSelect(t *testing.T) {
 			case !slices.ContainsFunc(snapshot, func(c struct{ Name string }) bool { return selects(levels[1:], c.Name) }):
 				t.Errorf("CI -bench alternative %q: case part %q matches no case in BENCH_srepair.json", alt, strings.Join(levels[1:], "/"))
 			}
+		}
+	}
+}
+
+// TestFuzzSelectorsSelect fails when a workflow `-fuzz` regex does not
+// select exactly one Fuzz function in the one package its step runs:
+// go test -fuzz refuses a regex matching several, and one matching none
+// prints a warning and passes, so a renamed target would silently drop
+// out of CI.
+func TestFuzzSelectorsSelect(t *testing.T) {
+	for _, s := range fuzzSelectors(t) {
+		if len(s.dirs) != 1 || strings.HasSuffix(s.dirs[0], "...") {
+			t.Errorf("CI -fuzz %q runs on %v: go test fuzzes one package", s.re, s.dirs)
+			continue
+		}
+		var matched []string
+		for _, n := range funcNames(t, s.dirs, "Fuzz") {
+			if s.re.MatchString(n) {
+				matched = append(matched, n)
+			}
+		}
+		if len(matched) != 1 {
+			t.Errorf("CI -fuzz %q matches %d Fuzz functions in %s %v, want exactly one", s.re, len(matched), s.dirs[0], matched)
 		}
 	}
 }

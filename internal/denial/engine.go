@@ -150,36 +150,33 @@ func (cn *Constraint) joinAttrs() []int {
 }
 
 // eqClasses assigns each row an equality-class id for one attribute
-// under the seed's compare: numeric values sharing a float (e.g. "1"
-// and "1.0") share a class, non-numeric values class by string.
-func (k *keySet) eqClasses(a int) []int32 {
+// under the seed's compare, classes numbered by first appearance:
+// numeric values sharing a float (e.g. "1" and "1.0") share a class,
+// and every other value is a class of its own. Equal dictionary codes
+// hold equal strings, so each code gets its class once. It returns the
+// classes and their count.
+func (k *keySet) eqClasses(a int) ([]int32, int) {
 	ck := k.col(a)
-	out := make([]int32, len(k.rows))
+	codes, distinct := k.t.ProjectionCodes(schema.Singleton(a))
+	class := make([]int32, distinct) // by code: class + 1, 0 until seen
 	nums := make(map[float64]int32)
-	strs := make(map[string]int32)
 	next := int32(0)
-	for ri := range k.rows {
-		var id int32
-		if ck.isNum[ri] {
-			v, ok := nums[ck.num[ri]]
-			if !ok {
-				v = next
+	out := make([]int32, len(codes))
+	for ri, cd := range codes {
+		if class[cd] == 0 {
+			if !ck.isNum[ri] {
 				next++
-				nums[ck.num[ri]] = v
-			}
-			id = v
-		} else {
-			v, ok := strs[k.rows[ri].Tuple[a]]
-			if !ok {
-				v = next
+				class[cd] = next
+			} else if id, ok := nums[ck.num[ri]]; ok {
+				class[cd] = id
+			} else {
 				next++
-				strs[k.rows[ri].Tuple[a]] = v
+				class[cd], nums[ck.num[ri]] = next, next
 			}
-			id = v
 		}
-		out[ri] = id
+		out[ri] = class[cd] - 1
 	}
-	return out
+	return out, int(next)
 }
 
 // denialUnit is one scheduler task of the conflict scan: either one
@@ -238,7 +235,6 @@ func conflictPairs(c *solve.Ctx, cs []*Constraint, t *table.Table) ([][2]int32, 
 	c.Stats().Add(solve.DenialPredicates, int64(atoms))
 	keys := newKeySet(t)
 	var units []denialUnit
-	classCache := make(map[int][]int32)
 	for _, cn := range cs {
 		if err := c.Err(); err != nil {
 			return nil, err
@@ -255,17 +251,9 @@ func conflictPairs(c *solve.Ctx, cs []*Constraint, t *table.Table) ([][2]int32, 
 			continue
 		}
 		// Composite grouping: refine row classes attribute by attribute.
-		combined := make([]int32, n)
-		for gi, a := range join {
-			cls, ok := classCache[a]
-			if !ok {
-				cls = keys.eqClasses(a)
-				classCache[a] = cls
-			}
-			if gi == 0 {
-				copy(combined, cls)
-				continue
-			}
+		combined, bound := keys.eqClasses(join[0])
+		for _, a := range join[1:] {
+			cls, _ := keys.eqClasses(a)
 			merge := make(map[[2]int32]int32, n)
 			for ri := range combined {
 				key := [2]int32{combined[ri], cls[ri]}
@@ -276,18 +264,10 @@ func conflictPairs(c *solve.Ctx, cs []*Constraint, t *table.Table) ([][2]int32, 
 				}
 				combined[ri] = id
 			}
+			bound = len(merge)
 		}
-		buckets := make(map[int32][]int32, n/2+1)
-		var order []int32
-		for ri := 0; ri < n; ri++ {
-			g := combined[ri]
-			if _, ok := buckets[g]; !ok {
-				order = append(order, g)
-			}
-			buckets[g] = append(buckets[g], int32(ri))
-		}
-		for _, g := range order {
-			if members := buckets[g]; len(members) >= 2 {
+		for _, members := range table.GroupLabels(combined, bound) {
+			if len(members) >= 2 {
 				units = append(units, denialUnit{cn: cn, members: members})
 			}
 		}

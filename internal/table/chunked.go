@@ -333,19 +333,15 @@ func (b *ChunkedBuilder) Flush() *Table {
 		return t
 	}
 
-	e := &encoding{
-		n:     b.n,
-		cols:  make([][]int32, b.arity),
-		card:  make([]int, b.arity),
-		dicts: b.dicts,
-		proj:  make(map[schema.AttrSet]*projection),
-	}
+	// Each column is published as its single-attribute projection.
+	e := &encoding{n: b.n, proj: make(map[schema.AttrSet]*projection, b.arity)}
 	t.rows = concatChunks(b.rowChunks, b.n)
-	for a := 0; a < b.arity; a++ {
-		e.cols[a] = concatChunks(b.colChunks[a], b.n)
-		e.card[a] = len(b.revs[a])
+	cols := make([][]int32, b.arity)
+	for a := range cols {
+		cols[a] = concatChunks(b.colChunks[a], b.n)
+		e.proj[schema.Singleton(a)] = &projection{codes: cols[a], groups: len(b.revs[a]), dict: b.dicts[a]}
 	}
-	b.fillTuples(t.rows, e.cols)
+	b.fillTuples(t.rows, cols)
 	t.enc.Store(e)
 	return t
 }

@@ -1,28 +1,37 @@
 package table
 
 import (
-	"math/bits"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/schema"
 )
 
-// The dictionary encoding turns every column into a dense []int32 of
-// value codes (assigned by first appearance), and every projection onto
-// an attribute set into a dense []int32 of group codes. Two rows get
-// equal projection codes iff their projections are equal, so the repair
-// algorithms compare and hash fixed-width integers instead of building
-// length-prefixed strings per row (KeyOf) on every GroupBy /
-// Violations / ConflictGraph call.
+// The dictionary encoding gives every row one int32 code per cached
+// attribute-set projection: two rows get equal codes iff their
+// projections are equal, so the repair algorithms compare and hash
+// fixed-width integers instead of building length-prefixed strings per
+// row on every GroupBy / Violations / ConflictGraph call.
+//
+// Projections are the encoding's only unit. A single-attribute
+// projection is the column: it owns the attribute's value dictionary
+// and numbers the values by first appearance. A multi-attribute
+// projection folds its lowest attribute onto the projection of its
+// other attributes: it numbers the distinct keys rest<<32 | column by
+// first appearance, so any number of attributes fits one uint64 key,
+// and building it caches the two projections it folds. A build, an
+// incremental append and a cell re-code (incremental.go) all code rows
+// through one interning step, intern.
 //
 // The encoding is built lazily and published copy-on-write through an
 // atomic pointer: lookups are lock-free (the parallel block solver hits
 // this path constantly), builds take the table's encMu and publish a
 // fresh immutable snapshot, and any plain table mutation drops the
-// snapshot. The incremental mutators (incremental.go) instead extend
-// the snapshot in place under encMu — the per-column dictionaries and
-// per-projection key maps are retained for exactly that purpose — so a
-// resident session never re-interns columns it already encoded.
+// snapshot. The incremental mutators instead extend the snapshot under
+// encMu — every projection retains its dictionary or key map for
+// exactly that purpose — so a resident session never re-interns rows it
+// already encoded.
 
 // projection is the dictionary code of one attribute-set projection:
 // codes[rowIndex] identifies the row's projection; equal codes iff
@@ -35,11 +44,6 @@ import (
 // as equality labels, groups as an array bound, and the lazily
 // materialized rowGrouping (always canonical first-appearance order
 // with no empty buckets) for ordered iteration.
-//
-// width/seen/sseen are the retained state of incremental extension for
-// multi-attribute projections (nil for single-attribute and empty
-// projections, whose codes derive from the column dictionaries). They
-// are touched only under the table's encMu.
 type projection struct {
 	codes  []int32
 	groups int
@@ -53,9 +57,12 @@ type projection struct {
 	// place of a rebuild; cell recodes drop it back to lazy.
 	rg atomic.Pointer[rowGrouping]
 
-	width []uint           // packed-key bit widths (multi-attr, packed)
-	seen  map[uint64]int32 // packed key -> code (multi-attr, packed)
-	sseen map[string]int32 // string key -> code (multi-attr, wide fallback)
+	// The interning state, shared by every snapshot of the projection
+	// and touched only under the table's encMu: the value dictionary of
+	// a single-attribute projection, or the fold-key map of a
+	// multi-attribute one. The empty projection has neither.
+	dict map[Value]int32
+	keys map[uint64]int32
 }
 
 // rowGrouping is one projection's whole-table row grouping: one bucket
@@ -71,38 +78,28 @@ type rowGrouping struct {
 	aligned bool
 }
 
-// encoding holds the per-column dictionaries and the cached projections
-// of one table snapshot covering rows [0, n). A published *encoding is
-// immutable for readers; builds and incremental extensions replace it
-// wholesale under encMu (the dictionary maps are shared across
-// snapshots and mutated only under that lock — readers never touch
-// them).
+// encoding holds the cached projections of one table snapshot covering
+// rows [0, n). Every multi-attribute projection it holds comes with the
+// two projections it folds. A published *encoding is immutable for
+// readers; builds and incremental extensions replace it wholesale under
+// encMu.
 type encoding struct {
-	n     int
-	cols  [][]int32         // per attribute: value code per row (nil until needed)
-	card  []int             // per attribute: dictionary size
-	dicts []map[Value]int32 // per attribute: value -> code (encMu only)
-	proj  map[schema.AttrSet]*projection
+	n    int
+	proj map[schema.AttrSet]*projection
 }
 
-// clone returns a shallow working copy for copy-on-write extension:
-// fresh headers and a fresh projection map, shared column storage and
-// dictionaries.
-func (e *encoding) clone(arity int) *encoding {
-	next := &encoding{
-		n:     e.n,
-		cols:  make([][]int32, arity),
-		card:  make([]int, arity),
-		dicts: make([]map[Value]int32, arity),
-		proj:  make(map[schema.AttrSet]*projection, len(e.proj)+1),
-	}
-	copy(next.cols, e.cols)
-	copy(next.card, e.card)
-	copy(next.dicts, e.dicts)
-	for a, p := range e.proj {
-		next.proj[a] = p
-	}
-	return next
+// clone returns a working copy for copy-on-write extension: a fresh
+// projection map sharing the projections.
+func (e *encoding) clone() *encoding {
+	return &encoding{n: e.n, proj: maps.Clone(e.proj)}
+}
+
+// sets returns the cached attribute sets in ascending bitmask order. A
+// proper subset has the smaller bitmask, so a mutation that walks them
+// in this order extends every projection after the projections it
+// folds.
+func (e *encoding) sets() []schema.AttrSet {
+	return slices.Sorted(maps.Keys(e.proj))
 }
 
 // invalidate drops the cached encoding; called by every plain mutation.
@@ -121,78 +118,103 @@ func (t *Table) projection(attrs schema.AttrSet) *projection {
 	}
 	t.encMu.Lock()
 	defer t.encMu.Unlock()
-	old := t.enc.Load()
-	if old != nil {
-		if p, ok := old.proj[attrs]; ok {
-			return p
-		}
-	}
 	// Copy-on-write: extend the snapshot without mutating the published
-	// one. Column slices are themselves immutable once built, so the
-	// copies share them.
-	k := t.sc.Arity()
+	// one.
 	var next *encoding
-	if old != nil {
-		next = old.clone(k)
+	if old := t.enc.Load(); old == nil {
+		next = &encoding{n: len(t.rows), proj: make(map[schema.AttrSet]*projection)}
+	} else if p, ok := old.proj[attrs]; ok {
+		return p
 	} else {
-		next = &encoding{
-			n:     len(t.rows),
-			cols:  make([][]int32, k),
-			card:  make([]int, k),
-			dicts: make([]map[Value]int32, k),
-			proj:  make(map[schema.AttrSet]*projection),
-		}
+		next = old.clone()
 	}
-	p := t.buildProjection(next, attrs)
-	next.proj[attrs] = p
+	p := t.build(next, attrs)
 	t.enc.Store(next)
 	return p
 }
 
-// column builds (once) and returns the value codes of one attribute.
-// Caller must hold encMu and own e (not yet published).
-func (t *Table) column(e *encoding, a int) []int32 {
-	if e.cols[a] != nil {
-		return e.cols[a]
+// build returns e's projection onto attrs. When e holds none it codes
+// rows [0, e.n) into a new one, after building the two projections a
+// multi-attribute set folds. The whole-table row grouping is not built
+// here — it materializes on first demand (see grouping). Caller must
+// hold encMu and own e.
+func (t *Table) build(e *encoding, attrs schema.AttrSet) *projection {
+	if p, ok := e.proj[attrs]; ok {
+		return p
 	}
-	col := make([]int32, len(t.rows))
-	dict := make(map[Value]int32, len(t.rows))
-	for ri := range t.rows {
-		v := t.rows[ri].Tuple[a]
-		c, ok := dict[v]
-		if !ok {
-			c = int32(len(dict))
-			dict[v] = c
-		}
-		col[ri] = c
+	p := &projection{}
+	switch attrs.Len() {
+	case 0:
+	case 1:
+		p.dict = make(map[Value]int32, e.n)
+	default:
+		low := attrs.First()
+		t.build(e, schema.Singleton(low))
+		t.build(e, attrs.Remove(low))
+		p.keys = make(map[uint64]int32, e.n)
 	}
-	e.cols[a] = col
-	e.card[a] = len(dict)
-	e.dicts[a] = dict
-	return col
+	return t.extend(e, attrs, p)
 }
 
-// buildProjection computes the group codes of the projection onto
-// attrs. The whole-table row grouping is not built here — it
-// materializes on first demand (see grouping). Caller must hold encMu
-// and own e.
-func (t *Table) buildProjection(e *encoding, attrs schema.AttrSet) *projection {
-	n := len(t.rows)
-	if n == 0 {
-		return &projection{}
+// extend stores in e a copy of p that codes rows [len(p.codes), e.n)
+// as well. The codes grow in place within capacity, which a reader of
+// an older snapshot never sees past its own length, and an aligned row
+// grouping grows with them. e must already hold the projections attrs
+// folds over all e.n rows. Caller must hold encMu and own e.
+func (t *Table) extend(e *encoding, attrs schema.AttrSet, p *projection) *projection {
+	from := len(p.codes)
+	np := &projection{codes: append(p.codes, make([]int32, e.n-from)...), dict: p.dict, keys: p.keys}
+	t.intern(e, attrs, np, from, e.n)
+	if g := p.rg.Load(); g != nil && g.aligned {
+		// Pure appends keep an aligned grouping canonical by
+		// construction: an existing code's rows extend its bucket (row
+		// indices ascending), and new codes are assigned sequentially so
+		// their buckets land at the end in first-appearance order.
+		// Extend by direct bucket indexing instead of rebuilding O(n).
+		// A grouping that was never materialized (or lost alignment to a
+		// cell recode) stays lazy — the next consumer rebuilds it.
+		np.rg.Store(&rowGrouping{buckets: extendGroupsAppend(g.buckets, np.codes, from), aligned: true})
 	}
-	pos := attrs.Positions()
-	var p *projection
-	switch len(pos) {
-	case 0:
-		p = &projection{codes: make([]int32, n), groups: 1}
-	case 1:
-		col := t.column(e, pos[0])
-		p = &projection{codes: col, groups: e.card[pos[0]]}
+	e.proj[attrs] = np
+	return np
+}
+
+// intern codes rows [lo, hi) of p from the table's current values: the
+// one interning step of builds, appends and cell re-codes. A new value
+// or fold key gets the next code. A multi-attribute projection reads
+// the codes of the two projections it folds from e, which must already
+// hold those rows. Caller must hold encMu and own e.
+func (t *Table) intern(e *encoding, attrs schema.AttrSet, p *projection, lo, hi int) {
+	codes := p.codes
+	switch {
+	case p.dict != nil:
+		a, dict, rows := attrs.First(), p.dict, t.rows
+		for ri := lo; ri < hi; ri++ {
+			v := rows[ri].Tuple[a]
+			c, ok := dict[v]
+			if !ok {
+				c = int32(len(dict))
+				dict[v] = c
+			}
+			codes[ri] = c
+		}
+		p.groups = len(dict)
+	case p.keys != nil:
+		low, keys := attrs.First(), p.keys
+		col, rest := e.proj[schema.Singleton(low)].codes, e.proj[attrs.Remove(low)].codes
+		for ri := lo; ri < hi; ri++ {
+			k := uint64(rest[ri])<<32 | uint64(col[ri])
+			c, ok := keys[k]
+			if !ok {
+				c = int32(len(keys))
+				keys[k] = c
+			}
+			codes[ri] = c
+		}
+		p.groups = len(keys)
 	default:
-		p = t.buildMultiProjection(e, attrs, pos)
+		p.groups = min(len(codes), 1)
 	}
-	return p
 }
 
 // grouping returns the projection's whole-table row grouping,
@@ -210,57 +232,6 @@ func (t *Table) grouping(p *projection) *rowGrouping {
 	g := &rowGrouping{buckets: buckets, aligned: aligned}
 	p.rg.Store(g)
 	return g
-}
-
-// buildMultiProjection packs the per-column codes of a multi-attribute
-// projection into one uint64 key when the dictionary widths fit (they
-// essentially always do), assigning dense group codes by first
-// appearance; pathologically wide projections fall back to string keys.
-// The key map and bit widths are retained on the projection so an
-// incremental append extends the codes instead of re-interning.
-func (t *Table) buildMultiProjection(e *encoding, attrs schema.AttrSet, pos []int) *projection {
-	n := len(t.rows)
-	width := make([]uint, len(pos))
-	total := uint(0)
-	for i, a := range pos {
-		t.column(e, a)
-		w := uint(bits.Len(uint(e.card[a] - 1)))
-		width[i] = w
-		total += w
-	}
-	p := &projection{codes: make([]int32, n)}
-	if total <= 64 {
-		seen := make(map[uint64]int32, n)
-		for ri := 0; ri < n; ri++ {
-			var key uint64
-			for i, a := range pos {
-				key = key<<width[i] | uint64(e.cols[a][ri])
-			}
-			c, ok := seen[key]
-			if !ok {
-				c = int32(len(seen))
-				seen[key] = c
-			}
-			p.codes[ri] = c
-		}
-		p.groups = len(seen)
-		p.width = width
-		p.seen = seen
-		return p
-	}
-	sseen := make(map[string]int32, n)
-	for ri := 0; ri < n; ri++ {
-		k := KeyOf(t.rows[ri].Tuple, attrs)
-		c, ok := sseen[k]
-		if !ok {
-			c = int32(len(sseen))
-			sseen[k] = c
-		}
-		p.codes[ri] = c
-	}
-	p.groups = len(sseen)
-	p.sseen = sseen
-	return p
 }
 
 // canonicalGroups buckets row indices by code (ascending within each
@@ -339,6 +310,15 @@ func canonicalGroups(codes []int32, bound int) (groups [][]int32, aligned bool) 
 		out[g] = flat[starts[g]:starts[g+1]:starts[g+1]]
 	}
 	return out, aligned
+}
+
+// GroupLabels buckets the positions of labels by label, for labels in
+// [0, bound): one bucket of ascending positions per label that occurs,
+// buckets ordered by first appearance — the order a row grouping takes.
+// The buckets share one backing array.
+func GroupLabels(labels []int32, bound int) [][]int32 {
+	groups, _ := canonicalGroups(labels, bound)
+	return groups
 }
 
 // ProjectionCodes returns one int32 code per row (in insertion order)

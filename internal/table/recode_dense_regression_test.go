@@ -7,7 +7,7 @@ import (
 	"repro/internal/schema"
 )
 
-// Regression test: a single-attribute projection built for the first
+// Regression test: a single-attribute projection grouped for the first
 // time AFTER SetCellsIncremental has recoded that column must not be
 // grouped as if its codes were canonical. The recode rewrites column
 // codes in place, which can orphan a code (no remaining carrier) and
@@ -24,8 +24,8 @@ func TestGroupByAfterIncrementalColumnRecode(t *testing.T) {
 	tab.MustInsert(3, Tuple{"x", "r"}, 1)
 
 	// Cache the multi-attribute projection {A,B}: this encodes column A
-	// (codes x=0, y=1) without caching the single-attribute {A}
-	// projection, so the {A} build below is the column's first.
+	// (codes x=0, y=1) as the {A} projection it folds, without grouping
+	// it, so the {A} grouping below is the column's first.
 	ab := schema.Singleton(0).Union(schema.Singleton(1))
 	tab.ProjectionCodes(ab)
 
